@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,10 @@ import numpy as np
 # Probabilities are floored at this value inside logarithms only; quadratic
 # terms always see the raw values.
 LOG_EPS = 1e-12
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when a numerical solver fails to reach its tolerance."""
 
 
 # numpy's counterpart of each math function, for the arguments where math
@@ -30,16 +35,20 @@ def libm(fn, *args) -> np.ndarray:
     A scalar exponent of -1, 0.5 or 2 keeps the exactly rounded reciprocal,
     sqrt or square that ``**`` uses for it, which libm's pow is not.
     """
-    if fn is math.pow and np.ndim(args[1]) == 0 and float(args[1]) in _EXACT_POWERS:
-        return np.asarray(args[0], dtype=float) ** float(args[1])
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    cols = [a.ravel().tolist() for a in arrays]
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    if fn is math.pow and arrays[1].ndim == 0 and float(arrays[1]) in _EXACT_POWERS:
+        return arrays[0] ** float(arrays[1])
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    # a 0-d argument (a scalar exponent, say) is repeated, not broadcast
+    cols = [itertools.repeat(float(a)) if a.ndim == 0
+            else (a if a.shape == shape else np.broadcast_to(a, shape)).ravel().tolist()
+            for a in arrays]
+    count = math.prod(shape)
     try:
-        out = np.fromiter(map(fn, *cols), float, count=arrays[0].size)
+        out = np.fromiter(map(fn, *cols), float, count=count)
     except (ValueError, OverflowError):
-        out = np.fromiter(map(functools.partial(_libm_or_ufunc, fn), *cols), float,
-                          count=arrays[0].size)
-    return out.reshape(arrays[0].shape)
+        out = np.fromiter(map(functools.partial(_libm_or_ufunc, fn), *cols), float, count=count)
+    return out.reshape(shape)
 
 
 def _libm_or_ufunc(fn, *xs):
@@ -76,12 +85,6 @@ def as_simplex(values, mass_tol: float = 1e-8) -> np.ndarray:
     if abs(mass - 1.0) > mass_tol:
         raise ValueError(f"probability mass {mass} deviates from 1 by more than {mass_tol}")
     return v / mass
-
-
-def one_hot(label: int, k: int) -> np.ndarray:
-    e = np.zeros(k, dtype=float)
-    e[label] = 1.0
-    return e
 
 
 def entropy(p: np.ndarray) -> float:

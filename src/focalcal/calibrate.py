@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import LOG_EPS, libm, softmax
+from ._common import ConvergenceError, softmax
 from .data import PredictionSet
-from .losses import LossSpec
+from .losses import LossSpec, focal_phi
 from .metrics import BinningConfig, ece
 
 CONVEX_FAMILIES = ("ce", "brier", "focal", "fcl")
@@ -30,10 +30,6 @@ CONVEX_FAMILIES = ("ce", "brier", "focal", "fcl")
 PGAP_KKT_TOL = 1e-9
 # chain links closer than this to a bound count as tight in the certificate
 _LINK_TOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when a numerical solver fails to reach its tolerance."""
 
 
 @dataclass
@@ -86,6 +82,8 @@ class PGapResult:
 
 
 def temperature_grid(t_min: float = 0.1, t_max: float = 10.0, t_step: float = 0.1) -> np.ndarray:
+    if not t_step > 0.0:
+        raise ValueError("temperature step must be > 0")
     count = int(round((t_max - t_min) / t_step)) + 1
     if count < 1:
         raise ValueError("empty temperature grid")
@@ -128,8 +126,8 @@ def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray):
     """Loss, first and second derivative at class-1 probability ``kappa``.
 
     Returns (l1, l0, d1, d0, h1, h0): values/derivatives for label 1 and 0.
-    Logs (and their derivatives) are floored at probability 1e-12; log and
-    pow go through libm so the values are the same on every numpy build.
+    Label 1 scores the focal term at kappa and label 0 at 1 - kappa; ce is
+    the focal term with gamma = 0.
     """
     # keep the fractional powers real-valued for arguments a hair outside [0, 1]
     p = np.clip(kappa, 0.0, 1.0)
@@ -138,30 +136,12 @@ def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray):
         # sum over both classes: 2 (p - y)^2
         return (2.0 * q ** 2, 2.0 * p ** 2, -4.0 * q, 4.0 * p,
                 np.full_like(p, 4.0), np.full_like(p, 4.0))
-    ps = np.maximum(p, LOG_EPS)
-    qs = np.maximum(q, LOG_EPS)
-    logp, logq = libm(math.log, ps), libm(math.log, qs)
-    gamma, lam = spec.gamma, spec.lam
-
-    if spec.family == "ce":
-        return (-logp, -logq, -1.0 / ps, 1.0 / qs, 1.0 / ps ** 2, 1.0 / qs ** 2)
-    # focal / fcl
-    qg, pg = libm(math.pow, q, gamma), libm(math.pow, p, gamma)
-    l1 = qg * (-logp)
-    l0 = pg * (-logq)
-    if gamma == 0.0:
-        d1, h1 = -1.0 / ps, 1.0 / ps ** 2
-        d0, h0 = 1.0 / qs, 1.0 / qs ** 2
-    else:
-        qg1 = libm(math.pow, qs, gamma - 1.0)
-        pg1 = libm(math.pow, ps, gamma - 1.0)
-        d1 = gamma * qg1 * logp - qg / ps
-        d0 = -gamma * pg1 * logq + pg / qs
-        qg2 = libm(math.pow, qs, gamma - 2.0)
-        pg2 = libm(math.pow, ps, gamma - 2.0)
-        h1 = -gamma * (gamma - 1.0) * qg2 * logp + 2.0 * gamma * qg1 / ps + qg / ps ** 2
-        h0 = -gamma * (gamma - 1.0) * pg2 * logq + 2.0 * gamma * pg1 / qs + pg / qs ** 2
-    if spec.family == "fcl" and lam > 0.0:
+    gamma = 0.0 if spec.family == "ce" else spec.gamma
+    l1, d1, h1 = focal_phi(p, gamma, 2)
+    l0, d0, h0 = focal_phi(q, gamma, 2)
+    d0 = -d0  # chain rule through q = 1 - kappa
+    if spec.family == "fcl" and spec.lam > 0.0:
+        lam = spec.lam
         l1 = l1 + lam * 2.0 * q ** 2
         l0 = l0 + lam * 2.0 * p ** 2
         d1 = d1 - lam * 4.0 * q

@@ -16,15 +16,14 @@ import tempfile
 
 import numpy as np
 
-from ._common import softmax
-from .calibrate import ConvergenceError, apply_temperature, pgap, temperature_scan
+from ._common import ConvergenceError
+from .calibrate import apply_temperature, pgap, temperature_scan
 from .data import (DataFormatError, PredictionSet, SyntheticConfig, generate,
-                   load_points, load_predictions, points_to_arrays, save_points)
+                   load_points, load_predictions, save_points)
 from .losses import LossSpec
-from .metrics import BinningConfig, compute_report, reliability_table, smce, auroc
+from .metrics import BinningConfig, auroc, compute_report, ece, reliability_table, smce
 from .theory import SigmaSpec, minimize_risk, optimal_curve, sigma_root
-from .train import (MLPConfig, ModelState, decision_grid, lambda_sweep,
-                    predictions, split_points, train)
+from .train import MLPConfig, ModelState, decision_grid, lambda_sweep, split_points, train
 
 
 def _fmt(x) -> str:
@@ -132,7 +131,6 @@ def cmd_temp_scale(args):
     result = scan.to_json()
     if args.test:
         test = load_predictions(args.test, format=args.format, input_kind="logits")
-        from .metrics import ece
         result["test_pre_ece"] = ece(apply_temperature(test, 1.0), cfg)
         result["test_post_ece"] = ece(apply_temperature(test, scan.best_t), cfg)
     _emit(_json_text(result), args.out)
@@ -156,6 +154,8 @@ def cmd_minimize(args):
 
 
 def cmd_curve(args):
+    if not args.step > 0.0:
+        raise ValueError("--step must be > 0")
     grid = np.round(np.arange(0.0, 1.0 + args.step / 2, args.step), 12)
     curve = optimal_curve(_loss_spec(args), grid)
     _emit(_csv(["q", "p_hat_star"], [[q, p] for q, p in curve]), args.out)
@@ -213,8 +213,7 @@ def cmd_sweep(args):
     rows = lambda_sweep(cfg, gammas, lambdas, points)
     header = ["gamma", "lambda", "best_t", "pre_ece", "post_ece",
               "adaece", "cwece", "nll", "error"]
-    _emit(_csv(header, [[r[h.replace("best_t", "best_t")] for h in header] for r in rows]),
-          args.out)
+    _emit(_csv(header, [[r[h] for h in header] for r in rows]), args.out)
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -147,6 +147,11 @@ def load_predictions(path, format: str = "rows-json", input_kind: str = "probs")
         raise DataFormatError(str(exc)) from exc
 
 
+def _is_int(v) -> bool:
+    # JSON true/false parse to bool, which Python counts as an int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _read_rows_json(path, input_kind):
     key = "probs" if input_kind == "probs" else "logits"
     raw, labels, etas = [], [], []
@@ -162,10 +167,10 @@ def _read_rows_json(path, input_kind):
                 raise DataFormatError(f"row {lineno}: invalid JSON ({exc})") from exc
             if key not in obj:
                 raise DataFormatError(f"row {lineno}: missing {key!r}")
-            if "label" not in obj or not isinstance(obj["label"], int):
+            if not _is_int(obj.get("label")):
                 raise DataFormatError(f"row {lineno}: missing or non-integer label")
             vec = obj[key]
-            if not isinstance(vec, list) or not all(isinstance(v, (int, float)) for v in vec):
+            if not isinstance(vec, list) or not all(_is_int(v) or isinstance(v, float) for v in vec):
                 raise DataFormatError(f"row {lineno}: {key!r} must be a numeric array")
             if k is None:
                 k = len(vec)

@@ -7,9 +7,9 @@ the focal loss with an added squared-distance calibration term (``fcl``).
 
 All evaluators accept soft targets; the focal term generalizes to
 ``sum_k t_k (1 - p_k)^gamma (-log p_k)``. Probabilities are floored at 1e-12
-inside logarithms only; the quadratic calibration term is exact. With
-``lam == 0`` the fcl path skips the calibration term entirely so it matches
-the plain focal loss bitwise.
+inside logarithms and divisions (see ``focal_phi``); the quadratic
+calibration term is exact. With ``lam == 0`` the fcl path skips the
+calibration term entirely so it matches the plain focal loss bitwise.
 """
 
 from __future__ import annotations
@@ -73,91 +73,74 @@ def _check_pair(probs, target):
     return p, t
 
 
-def _flsd_gamma(probs, targets):
-    # gamma = 5 when the true-class probability is below 0.2, else 3
-    p_true = np.sum(probs * targets, axis=-1, keepdims=True)
-    return np.where(p_true < 0.2, 5.0, 3.0)
+def focal_phi(q, gamma, order: int = 0) -> list:
+    """[phi, phi', phi''][:order + 1] of phi_gamma(q) = -(1-q)^gamma log q.
 
-
-def _focal_values(probs, targets, gamma):
-    logp = libm(math.log, np.maximum(probs, LOG_EPS))
-    return np.sum(targets * libm(math.pow, 1.0 - probs, gamma) * (-logp), axis=-1)
+    The one evaluator of the focal term. ``gamma`` may be an array that
+    broadcasts with ``q``. ``q`` is floored at 1e-12 inside logs and
+    divisions, and the base 1-q of the gamma-1 and gamma-2 powers at 1e-12;
+    log and pow go through libm so the values are the same on every numpy
+    build. gamma = 0 needs no special case: pow(x, 0) = 1 and 0 * finite = 0.
+    """
+    qe = np.maximum(q, LOG_EPS)
+    logq = libm(math.log, qe)
+    pg = libm(math.pow, 1.0 - q, gamma)
+    out = [pg * (-logq)]
+    if order >= 1:
+        base = np.maximum(1.0 - q, LOG_EPS)
+        pg1 = libm(math.pow, base, gamma - 1.0)
+        out.append(gamma * pg1 * logq - pg / qe)
+    if order >= 2:
+        pg2 = libm(math.pow, base, gamma - 2.0)
+        out.append(-gamma * (gamma - 1.0) * pg2 * logq + 2.0 * gamma * pg1 / qe + pg / qe ** 2)
+    return out
 
 
 def _brier_values(probs, targets):
     return np.sum((probs - targets) ** 2, axis=-1)
 
 
+def _smoothed(spec: LossSpec, targets):
+    """The targets the log term sees: label smoothing mixes in the uniform distribution."""
+    if spec.family != "label_smoothing":
+        return targets
+    return (1.0 - spec.alpha) * targets + spec.alpha / targets.shape[-1]
+
+
+def _terms(spec: LossSpec, probs, targets, order: int) -> list:
+    """Per-sample values and, for ``order`` 1, gradients with respect to the probabilities."""
+    fam = spec.family
+    if fam == "brier":
+        return [_brier_values(probs, targets), 2.0 * (probs - targets)][:order + 1]
+    gamma = spec.gamma
+    if fam in ("ce", "label_smoothing"):
+        gamma = 0.0
+    elif fam == "flsd53":
+        # gamma = 5 when the true-class probability is below 0.2, else 3
+        gamma = np.where(np.sum(probs * targets, axis=-1, keepdims=True) < 0.2, 5.0, 3.0)
+    t = _smoothed(spec, targets)
+    phi = focal_phi(probs, gamma, order)
+    out = [np.sum(t * phi[0], axis=-1)] + [t * d for d in phi[1:]]
+    if fam == "fcl" and spec.lam != 0.0:
+        out[0] = out[0] + spec.lam * _brier_values(probs, targets)
+        out[1:] = [g + spec.lam * 2.0 * (probs - targets) for g in out[1:]]
+    return out
+
+
 def batch_values(spec: LossSpec, probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-sample loss values; ``probs``/``targets`` broadcast as (..., K)."""
-    fam = spec.family
-    if fam == "ce":
-        return _focal_values(probs, targets, 0.0)
-    if fam == "label_smoothing":
-        k = probs.shape[-1]
-        smoothed = (1.0 - spec.alpha) * targets + spec.alpha / k
-        return _focal_values(probs, smoothed, 0.0)
-    if fam == "brier":
-        return _brier_values(probs, targets)
-    if fam == "focal":
-        return _focal_values(probs, targets, spec.gamma)
-    if fam == "flsd53":
-        return _focal_values(probs, targets, _flsd_gamma(probs, targets))
-    # fcl
-    focal = _focal_values(probs, targets, spec.gamma)
-    if spec.lam == 0.0:
-        return focal
-    return focal + spec.lam * _brier_values(probs, targets)
-
-
-def _focal_prob_grads(probs, targets, gamma):
-    logp = libm(math.log, np.maximum(probs, LOG_EPS))
-    q = 1.0 - probs
-    # (1-p)^(gamma-1) diverges at p=1 for gamma < 1; floor the base there
-    gm1 = np.asarray(gamma) - 1.0
-    base = np.where(gm1 < 0.0, np.maximum(q, LOG_EPS), q)
-    return targets * (gamma * libm(math.pow, base, gm1) * logp
-                      - libm(math.pow, q, gamma) / np.maximum(probs, LOG_EPS))
-
-
-def batch_prob_grads(spec: LossSpec, probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-sample gradients with respect to the probabilities."""
-    fam = spec.family
-    if fam == "ce":
-        return -targets / np.maximum(probs, LOG_EPS)
-    if fam == "label_smoothing":
-        k = probs.shape[-1]
-        smoothed = (1.0 - spec.alpha) * targets + spec.alpha / k
-        return -smoothed / np.maximum(probs, LOG_EPS)
-    if fam == "brier":
-        return 2.0 * (probs - targets)
-    if fam == "focal":
-        if spec.gamma == 0.0:
-            return -targets / np.maximum(probs, LOG_EPS)
-        return _focal_prob_grads(probs, targets, spec.gamma)
-    if fam == "flsd53":
-        return _focal_prob_grads(probs, targets, _flsd_gamma(probs, targets))
-    grad = (-targets / np.maximum(probs, LOG_EPS) if spec.gamma == 0.0
-            else _focal_prob_grads(probs, targets, spec.gamma))
-    if spec.lam == 0.0:
-        return grad
-    return grad + spec.lam * 2.0 * (probs - targets)
+    return _terms(spec, probs, targets, 0)[0]
 
 
 def batch_logit_grads(spec: LossSpec, logits: np.ndarray, targets: np.ndarray):
     """Per-sample (values, d value / d logits) through the softmax."""
     probs = softmax(logits, axis=-1)
-    values = batch_values(spec, probs, targets)
-    if spec.family == "ce":
-        grads = probs - targets  # exact softmax+CE form
-    elif spec.family == "label_smoothing":
-        k = probs.shape[-1]
-        grads = probs - ((1.0 - spec.alpha) * targets + spec.alpha / k)
-    else:
-        g = batch_prob_grads(spec, probs, targets)
-        inner = np.sum(g * probs, axis=-1, keepdims=True)
-        grads = probs * (g - inner)
-    return values, grads
+    if spec.family in ("ce", "label_smoothing"):
+        # exact softmax+CE form
+        return batch_values(spec, probs, targets), probs - _smoothed(spec, targets)
+    values, g = _terms(spec, probs, targets, 1)
+    inner = np.sum(g * probs, axis=-1, keepdims=True)
+    return values, probs * (g - inner)
 
 
 def eval_loss(spec: LossSpec, probs, target) -> float:
@@ -190,6 +173,6 @@ def entropy_bound_check(probs, target, gamma: float) -> dict:
     p, t = _check_pair(probs, target)
     if np.any(p <= 0.0):
         raise ValueError("probs must be strictly positive")
-    lhs = float(_focal_values(p, t, gamma))
+    lhs = float(batch_values(LossSpec("focal", gamma=gamma), p, t))
     rhs = kl_divergence(t, p) + entropy(t) - gamma * entropy(p)
     return {"holds": lhs >= rhs - 1e-12, "lhs": lhs, "rhs": rhs}

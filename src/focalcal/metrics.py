@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.stats import rankdata
 
-from ._common import LOG_EPS, one_hot
+from ._common import LOG_EPS
 from .data import PredictionSet
 
 DEFAULT_BINS = 15
@@ -106,19 +106,23 @@ class MetricReport:
         return out
 
 
-def _equal_width_indices(conf: np.ndarray, m: int) -> np.ndarray:
-    inner = np.arange(1, m) / m
-    return np.searchsorted(inner, conf, side="left")
+def _bins(values: np.ndarray, cfg: BinningConfig) -> list[np.ndarray]:
+    """Row indices of each of the ``cfg.bins`` bins of ``values``, in row order.
 
-
-def _equal_mass_runs(n: int, m: int) -> list[slice]:
-    base, rem = divmod(n, m)
-    runs, start = [], 0
-    for i in range(m):
-        size = base + (1 if i < rem else 0)
-        runs.append(slice(start, start + size))
-        start += size
-    return runs
+    Equal width: a stable sort by bin index. Equal mass: contiguous runs of
+    the stable sort by value, the first n mod M of them one longer. Members
+    keep their relative order, so sums over a bin run in a fixed order.
+    """
+    m = cfg.bins
+    if cfg.scheme == "equal_width":
+        idx = np.searchsorted(np.arange(1, m) / m, values, side="left")
+        order = np.argsort(idx, kind="stable")
+        bounds = np.searchsorted(idx[order], np.arange(m + 1), side="left")
+    else:
+        order = np.argsort(values, kind="stable")
+        base, rem = divmod(values.size, m)
+        bounds = np.concatenate([[0], np.cumsum(base + (np.arange(m) < rem))])
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def bin_predictions(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> list[BinSummary]:
@@ -126,29 +130,16 @@ def bin_predictions(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -
     conf = pset.confidences()
     correct = (pset.predicted() == pset.labels).astype(float)
     m = cfg.bins
+    nan = float("nan")
     out = []
-    if cfg.scheme == "equal_width":
-        idx = _equal_width_indices(conf, m)
-        for b in range(m):
-            mask = idx == b
-            cnt = int(mask.sum())
+    for b, rows in enumerate(_bins(conf, cfg)):
+        if cfg.scheme == "equal_width":
             lo, hi = b / m, (b + 1) / m
-            if cnt == 0:
-                out.append(BinSummary(lo, hi, 0, float("nan"), float("nan")))
-            else:
-                out.append(BinSummary(lo, hi, cnt,
-                                      float(correct[mask].mean()), float(conf[mask].mean())))
-    else:
-        order = np.argsort(conf, kind="stable")
-        sc, scorr = conf[order], correct[order]
-        for run in _equal_mass_runs(pset.n, m):
-            chunk, chunk_corr = sc[run], scorr[run]
-            if chunk.size == 0:
-                out.append(BinSummary(float("nan"), float("nan"), 0,
-                                      float("nan"), float("nan")))
-            else:
-                out.append(BinSummary(float(chunk[0]), float(chunk[-1]), chunk.size,
-                                      float(chunk_corr.mean()), float(chunk.mean())))
+        else:
+            lo, hi = (float(conf[rows[0]]), float(conf[rows[-1]])) if rows.size else (nan, nan)
+        acc, mean_conf = ((float(correct[rows].mean()), float(conf[rows].mean()))
+                          if rows.size else (nan, nan))
+        out.append(BinSummary(lo, hi, rows.size, acc, mean_conf))
     return out
 
 
@@ -183,26 +174,14 @@ def classwise_ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig(),
     """
     if norm not in ("global", "per-class"):
         raise ValueError(f"unknown cwece norm {norm!r}")
-    m = cfg.bins
     total = 0.0
     for k in range(pset.k):
         pk = pset.probs[:, k]
         is_k = (pset.labels == k).astype(float)
         denom = pset.n if norm == "global" else max(int(is_k.sum()), 1)
-        if cfg.scheme == "equal_width":
-            idx = _equal_width_indices(pk, m)
-            for b in range(m):
-                mask = idx == b
-                cnt = int(mask.sum())
-                if cnt:
-                    total += cnt / denom * abs(is_k[mask].mean() - pk[mask].mean())
-        else:
-            order = np.argsort(pk, kind="stable")
-            spk, sk = pk[order], is_k[order]
-            for run in _equal_mass_runs(pset.n, m):
-                if run.stop > run.start:
-                    cnt = run.stop - run.start
-                    total += cnt / denom * abs(sk[run].mean() - spk[run].mean())
+        for rows in _bins(pk, cfg):
+            if rows.size:
+                total += rows.size / denom * abs(is_k[rows].mean() - pk[rows].mean())
     return total / pset.k
 
 
@@ -258,6 +237,8 @@ def auroc(scores_pos, scores_neg) -> float:
     neg = np.asarray(scores_neg, dtype=float)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both score lists must be nonempty")
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        raise ValueError("scores must not be nan")
     ranks = rankdata(np.concatenate([pos, neg]))
     u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))

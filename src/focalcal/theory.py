@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from ._common import LOG_EPS, as_simplex
-from .calibrate import ConvergenceError
-from .losses import LossSpec, batch_values
+from ._common import ConvergenceError, as_simplex
+from .losses import LossSpec, batch_values, focal_phi
 
 Q_LO = 1e-12
 Q_HI = 1.0 - 1e-12
@@ -51,29 +50,6 @@ class SigmaSpec:
             raise ValueError("gamma and lambda must be >= 0")
 
 
-def _phi(q, gamma):
-    return (1.0 - q) ** gamma * (-np.log(np.maximum(q, LOG_EPS)))
-
-
-def _phi_d1(q, gamma):
-    logp = np.log(np.maximum(q, LOG_EPS))
-    one_m = 1.0 - q
-    if np.isscalar(gamma) and gamma == 0.0:
-        return -1.0 / np.maximum(q, LOG_EPS)
-    base = np.maximum(one_m, LOG_EPS)
-    return gamma * base ** (np.asarray(gamma) - 1.0) * logp - one_m ** np.asarray(gamma) / np.maximum(q, LOG_EPS)
-
-
-def _phi_d2(q, gamma):
-    logp = np.log(np.maximum(q, LOG_EPS))
-    qe = np.maximum(q, LOG_EPS)
-    one_m = np.maximum(1.0 - q, LOG_EPS)
-    g = np.asarray(gamma, dtype=float)
-    return (-g * (g - 1.0) * one_m ** (g - 2.0) * logp
-            + 2.0 * g * one_m ** (g - 1.0) / qe
-            + (1.0 - q) ** g / qe ** 2)
-
-
 def _risk_coeffs(spec: LossSpec, eta: np.ndarray):
     """Separable-risk coefficients: focal weights w, gamma, quadratic a."""
     fam = spec.family
@@ -101,9 +77,10 @@ def _risk_terms(spec: LossSpec, q: np.ndarray, eta: np.ndarray):
     w, gamma, a = _risk_coeffs(spec, eta)
     if gamma is None:
         gamma = _flsd_gamma_of(q)
-    val = float(np.sum(w * _phi(q, gamma)))
-    grad = w * _phi_d1(q, gamma)
-    hess = w * _phi_d2(q, gamma)
+    phi, d1, d2 = focal_phi(q, gamma, 2)
+    val = float(np.sum(w * phi))
+    grad = w * d1
+    hess = w * d2
     if a > 0.0:
         val += a * float(np.sum(q * q) - 2.0 * np.sum(eta * q) + 1.0)
         grad = grad + 2.0 * a * (q - eta)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._common import softmax
-from .calibrate import temperature_scan
+from .calibrate import apply_temperature, temperature_scan
 from .data import LabeledPoint, PredictionSet, points_to_arrays
-from .losses import LossSpec, batch_logit_grads
+from .losses import LossSpec, batch_logit_grads, batch_values
 from .metrics import BinningConfig, adaece, classwise_ece, ece, score_metrics
 
 
@@ -87,9 +87,6 @@ class ModelState:
 @dataclass
 class TrainHistory:
     epochs: list = field(default_factory=list)  # dict rows
-
-    def to_rows(self):
-        return self.epochs
 
 
 def init_model(cfg: MLPConfig) -> ModelState:
@@ -204,15 +201,12 @@ def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
                 model.weights[i] -= cfg.lr * gw[i]
                 model.biases[i] -= cfg.lr * gb[i]
 
-        test_logits = forward(model, xt)
-        test_values, _ = batch_logit_grads(spec, test_logits, test_targets)
-        test_set = PredictionSet(probs=softmax(test_logits, axis=1), labels=yt,
-                                 logits=test_logits)
+        test_set = predictions(model, xt, yt)
         scores = score_metrics(test_set)
         history.epochs.append({
             "epoch": epoch,
             "train_loss": train_loss,
-            "test_loss": float(test_values.mean()),
+            "test_loss": float(batch_values(spec, test_set.probs, test_targets).mean()),
             "test_ece": ece(test_set, cfg_bins),
             "test_nll": scores["nll"],
             "test_error": scores["error"],
@@ -275,9 +269,7 @@ def lambda_sweep(cfg: MLPConfig, gammas, lambdas, points: list[LabeledPoint],
             val_set = predictions(model, xv, yv)
             scan = temperature_scan(val_set, cfg_bins)
             test_set = predictions(model, xt, yt)
-            post_logits = test_set.logits / scan.best_t
-            post_set = PredictionSet(probs=softmax(post_logits, axis=1),
-                                     labels=yt, logits=post_logits)
+            post_set = apply_temperature(test_set, scan.best_t)
             scores = score_metrics(test_set)
             rows.append({
                 "gamma": float(gamma), "lambda": float(lam),

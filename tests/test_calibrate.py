@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import focalcal.calibrate as calibrate
-from conftest import naive_softmax, pgap_bruteforce
+from conftest import _binary_loss_at, naive_softmax, pgap_bruteforce
 from focalcal.calibrate import (PGAP_KKT_TOL, ConvergenceError, PGapResult,
                                 PostProcessMap, apply_temperature, pgap,
                                 temperature_grid, temperature_scan)
@@ -108,6 +108,27 @@ def binary_set(p1, labels):
     p1 = np.asarray(p1, dtype=float)
     return PredictionSet(probs=np.column_stack([1.0 - p1, p1]),
                          labels=np.asarray(labels, dtype=int))
+
+
+class TestBinaryLossTerms:
+    KAPPA = np.linspace(0.02, 0.98, 49)
+
+    # ce ignores gamma, which the CLI always passes
+    @pytest.mark.parametrize("spec", [LossSpec(family="ce", gamma=3.0),
+                                      LossSpec(family="focal", gamma=0.5),
+                                      LossSpec(family="focal", gamma=2.0),
+                                      LossSpec(family="fcl", gamma=3.0, lam=0.5)],
+                             ids=["ce", "focal0.5", "focal2", "fcl"])
+    def test_matches_oracle(self, spec):
+        k, h = self.KAPPA, 1e-5
+        l1, l0, d1, d0, h1, h0 = calibrate._binary_loss_terms(spec, k)
+        for label, (val, d, dd) in ((1, (l1, d1, h1)), (0, (l0, d0, h0))):
+            f = lambda x: _binary_loss_at(spec, x, label)  # noqa: E731
+            assert np.allclose(val, f(k), rtol=1e-13, atol=0.0)
+            fd1 = (f(k + h) - f(k - h)) / (2.0 * h)
+            fd2 = (f(k + h) - 2.0 * f(k) + f(k - h)) / h ** 2
+            assert np.max(np.abs(d - fd1) / np.maximum(np.abs(d), 1.0)) < 1e-6
+            assert np.max(np.abs(dd - fd2) / np.maximum(np.abs(dd), 1.0)) < 1e-4
 
 
 class TestPgap:

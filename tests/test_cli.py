@@ -60,6 +60,30 @@ class TestExitCodes:
         rc, _, err = run_capture(["pgap", "--input", PREDS, "--loss", "brier"])
         assert rc == 2 and "numerical error" in err
 
+    def assert_rejected(self, argv):
+        rc, _, err = run_capture(argv)
+        assert rc == 1 and "error:" in err and "Traceback" not in err
+
+    def test_zero_temperature_step(self):
+        self.assert_rejected(["temp-scale", "--val", str(FIX / "logits_val.jsonl"),
+                              "--t-step", "0"])
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_nonpositive_curve_step(self, step):
+        self.assert_rejected(["curve", "--loss", "ce", "--step", step])
+
+    def test_boolean_label(self, tmp_path):
+        bad = tmp_path / "bool.jsonl"
+        bad.write_text('{"probs": [0.4, 0.6], "label": true}\n'
+                       '{"probs": [0.7, 0.3], "label": 0}\n')
+        self.assert_rejected(["metrics", "--input", str(bad)])
+
+    def test_nan_auroc_score(self, tmp_path):
+        pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+        pos.write_text("0.9\nnan\n")
+        neg.write_text("0.2\n0.4\n")
+        self.assert_rejected(["auroc", "--pos", str(pos), "--neg", str(neg)])
+
     def test_config_echo(self):
         rc, out, _ = run_capture(["sigma-root", "--gamma", "0", "--lambda", "1"])
         assert rc == 0

@@ -55,6 +55,14 @@ class TestLoadPredictions:
         with pytest.raises(DataFormatError, match="label"):
             load_predictions(p)
 
+    @pytest.mark.parametrize("row", [{"probs": [0.5, 0.5], "label": True},
+                                     {"probs": [True, 0.0], "label": 0}])
+    def test_booleans_rejected(self, tmp_path, row):
+        p = tmp_path / "r.jsonl"
+        write_jsonl(p, [row])
+        with pytest.raises(DataFormatError, match="row 1"):
+            load_predictions(p)
+
     def test_missing_label(self, tmp_path):
         p = tmp_path / "r.jsonl"
         write_jsonl(p, [{"probs": [0.5, 0.5]}])

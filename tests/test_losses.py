@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import fd_logit_grads, naive_softmax
 from focalcal.losses import (FAMILIES, LossSpec, batch_logit_grads, batch_values,
-                             entropy_bound_check, eval_loss, eval_loss_grad)
+                             entropy_bound_check, eval_loss, eval_loss_grad, focal_phi)
 
 ALL_SPECS = [
     LossSpec(family="ce"),
@@ -174,6 +176,43 @@ class TestEntropyBound:
                 t = np.zeros(3)
                 t[y] = 1.0
                 assert entropy_bound_check(p, t, gamma)["holds"]
+
+
+class TestFocalPhi:
+    Q = np.linspace(0.03, 0.97, 48)
+    # per-element gamma, as the flsd53 schedule produces
+    FLSD = np.where(np.arange(48) % 3 == 0, 5.0, 3.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 3.0, FLSD], ids=["0", "0.5", "2", "3", "flsd53"])
+    def test_derivatives_match_central_differences(self, gamma):
+        q, h = self.Q, 1e-5
+        phi, d1, d2 = focal_phi(q, gamma, 2)
+        assert np.allclose(phi, -(1.0 - q) ** gamma * np.log(q), rtol=1e-14, atol=0.0)
+        fd1 = (focal_phi(q + h, gamma)[0] - focal_phi(q - h, gamma)[0]) / (2.0 * h)
+        fd2 = (focal_phi(q + h, gamma)[0] - 2.0 * phi + focal_phi(q - h, gamma)[0]) / h ** 2
+        assert np.max(np.abs(d1 - fd1) / np.maximum(np.abs(d1), 1.0)) < 1e-6
+        assert np.max(np.abs(d2 - fd2) / np.maximum(np.abs(d2), 1.0)) < 1e-4
+
+    def test_orders_share_their_values(self):
+        for order in (0, 1):
+            got = focal_phi(self.Q, 2.5, order)
+            assert len(got) == order + 1
+            for a, b in zip(got, focal_phi(self.Q, 2.5, 2)):
+                assert np.array_equal(a, b)
+
+    def test_gamma_zero_is_the_log_loss_bitwise(self):
+        q = np.array([1e-13, 0.2, 0.5, 1.0 - 1e-9, 1.0])
+        qe = np.maximum(q, 1e-12)
+        logq = np.array([math.log(v) for v in qe])
+        phi, d1, d2 = focal_phi(q, 0.0, 2)
+        assert np.array_equal(phi, -logq)
+        assert np.array_equal(d1, -1.0 / qe)
+        assert np.array_equal(d2, 1.0 / qe ** 2)
+
+    def test_floors_keep_the_ends_finite(self):
+        for gamma in (0.0, 0.5, 3.0):
+            for d in focal_phi(np.array([0.0, 1.0]), gamma, 2):
+                assert np.all(np.isfinite(d))
 
 
 def test_families_frozen():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (naive_adaece, naive_cwece, naive_ece_mce, naive_scores,
-                      pairwise_auroc, rand_prediction_arrays, smce_bruteforce)
+                      naive_softmax, pairwise_auroc, rand_prediction_arrays,
+                      smce_bruteforce)
 from focalcal.data import PredictionSet
 from focalcal.metrics import (BinningConfig, LipschitzWitness, adaece, auroc,
                               bin_predictions, classwise_ece, compute_report,
@@ -83,6 +86,46 @@ class TestBinnedMetrics:
         b = compute_report(pset(probs[perm], labels[perm]))
         for key in ("ece", "mce", "adaece", "cwece", "smce", "nll", "brier", "error"):
             assert abs(getattr(a, key) - getattr(b, key)) < 1e-12
+
+
+@st.composite
+def prediction_sets(draw):
+    """(probs, labels, bins, permutation); coarse logits make ties and bin edges likely."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 4))
+    logit = st.one_of(st.sampled_from([0.0, np.log(2.0), np.log(3.0)]),
+                      st.floats(-6.0, 6.0, allow_nan=False))
+    z = np.array(draw(st.lists(logit, min_size=n * k, max_size=n * k))).reshape(n, k)
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    bins = draw(st.integers(1, 20))
+    perm = np.array(draw(st.permutations(range(n))))
+    return naive_softmax(z), labels, bins, perm
+
+
+class TestBinningProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(prediction_sets())
+    def test_match_oracles_and_ignore_row_order(self, case):
+        probs, labels, m, perm = case
+        cfg = BinningConfig(bins=m)
+        mass = BinningConfig(bins=m, scheme="equal_mass")
+
+        def metrics(p, y):
+            ps = pset(p, y)
+            return np.array([ece(ps, cfg), mce(ps, cfg), adaece(ps, mass),
+                             classwise_ece(ps, cfg), classwise_ece(ps, cfg, norm="per-class")])
+
+        got = metrics(probs, labels)
+        oracle = [*naive_ece_mce(probs, labels, m), naive_adaece(probs, labels, m),
+                  naive_cwece(probs, labels, m), naive_cwece(probs, labels, m, norm="per-class")]
+        assert np.max(np.abs(got - oracle)) <= 1e-12
+        moved = np.abs(metrics(probs[perm], labels[perm]) - got)
+        conf = probs.max(axis=1)
+        # equal-mass runs split ties by row order, so only distinct confidences
+        # make adaece independent of it
+        if np.unique(conf).size < conf.size:
+            moved[2] = 0.0
+        assert np.max(moved) <= 1e-12
 
 
 class TestClasswise:
