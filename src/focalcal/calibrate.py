@@ -118,7 +118,10 @@ def temperature_scan(val: PredictionSet, cfg: BinningConfig = BinningConfig(),
     for t, e in pairs[1:]:
         if e < best_e or (e == best_e and (abs(t - 1.0), t) < (abs(best_t - 1.0), best_t)):
             best_t, best_e = t, e
-    pre_ece = ece(apply_temperature(val, 1.0), cfg)
+    # T = 1 is usually a grid point, and scaling by 1.0 is the identity
+    pre_ece = dict(pairs).get(1.0)
+    if pre_ece is None:
+        pre_ece = ece(apply_temperature(val, 1.0), cfg)
     return TemperatureScanResult(best_t=best_t, grid=pairs, pre_ece=pre_ece, post_ece=best_e)
 
 

@@ -131,7 +131,8 @@ def cmd_temp_scale(args):
     result = scan.to_json()
     if args.test:
         test = load_predictions(args.test, format=args.format, input_kind="logits")
-        result["test_pre_ece"] = ece(apply_temperature(test, 1.0), cfg)
+        # loading already took the softmax of the logits as given (T = 1)
+        result["test_pre_ece"] = ece(test, cfg)
         result["test_post_ece"] = ece(apply_temperature(test, scan.best_t), cfg)
     _emit(_json_text(result), args.out)
     if args.grid_out:

@@ -6,24 +6,30 @@ contiguous runs of the stable confidence sort. Empty bins carry zero weight.
 
 The smooth calibration error pools all (predicted value, residual) pairs over
 samples and classes and maximizes the weighted sum of a 1-Lipschitz witness
-bounded in [-1, 1]; the chain-constrained linear program is solved exactly
-with HiGHS.
+bounded in [-1, 1]. On the sorted pooled values that is a linear program on a
+chain, solved exactly by a slope-trick dynamic program (Hu, Jambulapati, Tian
+& Yang, arXiv 2402.13187) and certified by a duality gap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.stats import rankdata
 
-from ._common import LOG_EPS
+from ._common import LOG_EPS, ConvergenceError
 from .data import PredictionSet
 
 DEFAULT_BINS = 15
+
+# smce fails above this duality gap, relative to 1 + sum_i |w_i|
+SMCE_GAP_TOL = 1e-9
+# witness links and values closer than this to a bound count as tight
+_LINK_TOL = 1e-12
+# slopes within this of each other, relative to max |w|, count as equal
+_TIE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,7 @@ class LipschitzWitness:
 class SmceResult:
     value: float
     witness: LipschitzWitness
+    duality_gap: float  # not serialized; see SMCE_GAP_TOL
 
 
 @dataclass
@@ -185,12 +192,126 @@ def classwise_ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig(),
     return total / pset.k
 
 
+def _max_chain(w: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Greatest maximizer of sum_i w_i x_i over |x_i| <= 1, |x_{i+1} - x_i| <= d_i.
+
+    d_i = knots[i+1] - knots[i]. A forward pass keeps V_i(x), the best prefix
+    value with x_i = x, which is concave and piecewise linear on [-1, 1] (the
+    slope trick). Its slope breakpoints right of the flat top [lo_i, hi_i]
+    sit on one stack and those left of it on another, each with the amount
+    by which the slope drops there, the one nearest the flat top last. Each
+    side is kept in its own outward coordinate, u = x on the right and
+    u = -x on the left, so both look alike and the bound is u = 1 on both.
+    Adding w_i x moves the flat top towards the side w_i points to, across
+    that side's breakpoints onto the other stack, until the slope |w_i| is
+    used up or the bound is reached. New breakpoints appear only at the flat
+    top, so each stack stays sorted without a heap. Going to the next knot
+    widens the flat top by d_i to each side, which moves every breakpoint
+    outwards by d_i, so a stack holds u - (d_0 + ... + d_{i-1}) for the knot
+    i at which the breakpoint was placed. Breakpoints past the bound never
+    come back: a stack whose last one lies there is empty as far as V is
+    concerned, and clipping to [-1, 1] needs no breakpoint of its own.
+
+    The pooled residuals sum to zero, so many witnesses are optimal, and
+    rounding in the weights would pick among them. Hence slopes within
+    _TIE_TOL * max |w| of each other count as equal.
+
+    The backtrack takes x_{m-1} = hi_{m-1} and x_i = clip(hi_i, x_{i+1} - d_i,
+    x_{i+1} + d_i): the greatest maximizer of V_i within reach of x_{i+1}.
+    """
+    right, left = ([], []), ([], [])  # (u - knot, amount) as parallel lists
+    tops = []  # hi_i
+    tie = _TIE_TOL * float(np.abs(w).max())
+    d = np.diff(knots).tolist()
+    v = 0.0  # the shift of both stacks
+    for wi, dv in zip(w.tolist(), [0.0] + d):
+        v += dv
+        if abs(wi) > tie:
+            (us, amounts), (other_us, other_amounts) = (right, left) if wi > 0.0 else (left, right)
+            slope = abs(wi)
+            while True:
+                u = us[-1] + v if us else 1.0
+                if u >= 1.0:
+                    # the flat top reaches the bound with slope to spare
+                    other_us.append(-1.0 - v)
+                    other_amounts.append(slope)
+                    break
+                amount = amounts[-1]
+                if amount > slope + tie:
+                    amounts[-1] = amount - slope
+                    other_us.append(-u - v)
+                    other_amounts.append(slope)
+                    break
+                us.pop()
+                amounts.pop()
+                other_us.append(-u - v)
+                other_amounts.append(amount)
+                slope -= amount
+                if slope <= tie:
+                    break
+        hi = right[0][-1] + v if right[0] else 1.0
+        tops.append(hi if hi < 1.0 else 1.0)
+
+    values = [tops[-1]]
+    for top, di in zip(tops[-2::-1], d[::-1]):
+        x = values[-1]
+        values.append(x - di if top < x - di else x + di if top > x + di else top)
+    return np.array(values[::-1])
+
+
+def _duality_gap(w: np.ndarray, knots: np.ndarray, x: np.ndarray) -> float:
+    """D(g) - sum_i w_i x_i for a flow g recovered from ``x`` by complementary slackness.
+
+    For any g with g_{-1} = g_{m-1} = 0, sum_i w_i x_i equals
+    sum_i r_i x_i - sum_i g_i (x_{i+1} - x_i) with r_i = w_i + g_{i-1} - g_i,
+    so the value is at most D(g) = sum_i |r_i| + sum_i d_i |g_i|, with
+    equality iff r_i > 0 only where x_i = 1, r_i < 0 only where x_i = -1,
+    g_i > 0 only where x_{i+1} - x_i = -d_i and g_i < 0 only where it is
+    d_i. A forward scan keeps the interval [lo_i, hi_i] of g_i values that
+    a prefix meeting those conditions can reach; where the conditions
+    clash (rounding, or a witness that is not optimal) the interval shrinks
+    to the point nearest to them. Going back from g_{m-1} = 0, each g_{i-1}
+    is the point of its interval nearest to g_i - w_i. Whatever g results,
+    D(g) bounds the optimum, so a small gap proves ``x`` optimal.
+    """
+    inf = math.inf
+    ws, dk, step = w.tolist(), np.diff(knots), np.diff(x)
+    # the range of g_i allowed by link i, and by g_{m-1} = 0 for the last
+    link_lo = np.append(np.where(step >= dk - _LINK_TOL, -inf, 0.0), 0.0).tolist()
+    link_hi = np.append(np.where(step <= _LINK_TOL - dk, inf, 0.0), 0.0).tolist()
+    lo = hi = 0.0
+    los, his = [], []
+    for wi, top, bottom, l_lo, l_hi in zip(ws, (x >= 1.0 - _LINK_TOL).tolist(),
+                                           (x <= _LINK_TOL - 1.0).tolist(), link_lo, link_hi):
+        # g_i = g_{i-1} + w_i - r_i with r_i >= 0 at x_i = 1 and <= 0 at x_i = -1
+        lo = -inf if top else lo + wi
+        hi = inf if bottom else hi + wi
+        if hi < l_lo:
+            lo = hi = l_lo
+        elif lo > l_hi:
+            lo = hi = l_hi
+        else:
+            lo = l_lo if lo < l_lo else lo
+            hi = l_hi if hi > l_hi else hi
+        los.append(lo)
+        his.append(hi)
+    g = [0.0]
+    for wi, lo, hi in zip(ws[:0:-1], los[-2::-1], his[-2::-1]):
+        t = g[-1] - wi
+        g.append(lo if t < lo else hi if t > hi else t)
+    g = np.array(g[::-1])
+    dual = np.abs(w + np.append(0.0, g[:-1]) - g).sum() + float(dk @ np.abs(g[:-1]))
+    return float(dual) - float(w @ x)
+
+
 def smce(pset: PredictionSet) -> SmceResult:
     """Smooth calibration error with the optimizing 1-Lipschitz witness.
 
     Residual weights are aggregated at the sorted unique predicted values and
-    the resulting chain LP is solved exactly; the value is normalized by the
-    number of samples.
+    the resulting chain LP is solved exactly by ``_max_chain``; the value is
+    normalized by the number of samples. The witness is the greatest optimal
+    one (the pooled residuals sum to zero, so it is not unique). Raises
+    ConvergenceError if its duality gap exceeds SMCE_GAP_TOL.
     """
     onehots = np.eye(pset.k)[pset.labels]
     preds = pset.probs.ravel()
@@ -199,26 +320,13 @@ def smce(pset: PredictionSet) -> SmceResult:
     weights = np.zeros(knots.size)
     np.add.at(weights, inverse, residuals)
 
-    if knots.size == 1:
-        values = np.array([np.sign(weights[0]) if weights[0] != 0.0 else 0.0])
-    else:
-        d = np.diff(knots)
-        m = knots.size
-        rows = sp.diags([-np.ones(m - 1), np.ones(m - 1)], offsets=[0, 1],
-                        shape=(m - 1, m), format="csr")
-        a_ub = sp.vstack([rows, -rows], format="csr")
-        b_ub = np.concatenate([d, d])
-        res = linprog(-weights, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0),
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"smCE linear program failed: {res.message}")
-        values = np.clip(res.x, -1.0, 1.0)
-        # clip any solver round-off so the witness is strictly feasible
-        for i in range(1, m):
-            lo, hi = values[i - 1] - d[i - 1], values[i - 1] + d[i - 1]
-            values[i] = min(max(values[i], lo), hi)
+    values = _max_chain(weights, knots)
+    witness = LipschitzWitness(knots=knots, values=values)
+    gap = _duality_gap(weights, knots, values)
+    if not gap <= SMCE_GAP_TOL * (1.0 + float(np.abs(weights).sum())):
+        raise ConvergenceError(f"smCE witness not certified (duality gap {gap:.3e})")
     value = float(weights @ values) / pset.n
-    return SmceResult(value=value, witness=LipschitzWitness(knots=knots, values=values))
+    return SmceResult(value=value, witness=witness, duality_gap=gap)
 
 
 def score_metrics(pset: PredictionSet) -> dict:
@@ -239,8 +347,9 @@ def auroc(scores_pos, scores_neg) -> float:
         raise ValueError("both score lists must be nonempty")
     if np.isnan(pos).any() or np.isnan(neg).any():
         raise ValueError("scores must not be nan")
-    ranks = rankdata(np.concatenate([pos, neg]))
-    u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    # U counts the pairs a positive wins, ties as half: (#neg < p + #neg <= p) / 2
+    neg = np.sort(neg)
+    u = int(np.sum(np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right"))) / 2.0
     return float(u / (pos.size * neg.size))
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._common import ConvergenceError, as_simplex
 from .losses import LossSpec, batch_values, focal_phi
@@ -72,20 +71,21 @@ def _flsd_gamma_of(q):
     return np.where(np.asarray(q) < 0.2, 5.0, 3.0)
 
 
-def _risk_terms(spec: LossSpec, q: np.ndarray, eta: np.ndarray):
-    """(value, gradient, diagonal hessian) of the pointwise risk at q."""
+def _risk_terms(spec: LossSpec, q: np.ndarray, eta: np.ndarray, order: int = 2) -> list:
+    """[value, gradient, diagonal hessian][:order + 1] of the pointwise risk at q."""
     w, gamma, a = _risk_coeffs(spec, eta)
     if gamma is None:
         gamma = _flsd_gamma_of(q)
-    phi, d1, d2 = focal_phi(q, gamma, 2)
-    val = float(np.sum(w * phi))
-    grad = w * d1
-    hess = w * d2
+    # a Brier spec has no focal term
+    phi = focal_phi(q, gamma, order) if np.any(w) else [np.zeros_like(q)] * (order + 1)
+    out = [float(np.sum(w * phi[0]))] + [w * d for d in phi[1:]]
     if a > 0.0:
-        val += a * float(np.sum(q * q) - 2.0 * np.sum(eta * q) + 1.0)
-        grad = grad + 2.0 * a * (q - eta)
-        hess = hess + 2.0 * a
-    return val, grad, hess
+        out[0] += a * float(np.sum(q * q) - 2.0 * np.sum(eta * q) + 1.0)
+        if order >= 1:
+            out[1] = out[1] + 2.0 * a * (q - eta)
+        if order >= 2:
+            out[2] = out[2] + 2.0 * a
+    return out
 
 
 def pointwise_risk(spec: LossSpec, q, eta) -> float:
@@ -101,7 +101,7 @@ def pointwise_risk(spec: LossSpec, q, eta) -> float:
 
 
 def _kkt_residual(spec: LossSpec, q: np.ndarray, eta: np.ndarray) -> float:
-    _, grad, _ = _risk_terms(spec, q, eta)
+    _, grad = _risk_terms(spec, q, eta, 1)
     at_lo = q <= Q_LO * 4.0
     at_hi = q >= 1.0 - 1e-9
     free = ~(at_lo | at_hi)
@@ -123,7 +123,7 @@ def _minimize_binary(spec: LossSpec, eta: np.ndarray) -> MinimizerResult:
     # exact bisection on the (nondecreasing) derivative of the 1-D restriction
     def deriv(x):
         q = np.array([x, 1.0 - x])
-        _, g, _ = _risk_terms(spec, q, eta)
+        _, g = _risk_terms(spec, q, eta, 1)
         return g[0] - g[1]
 
     lo, hi = Q_LO, Q_HI
@@ -145,20 +145,22 @@ def _minimize_binary(spec: LossSpec, eta: np.ndarray) -> MinimizerResult:
                 break
         x = 0.5 * (lo + hi)
     q = np.array([x, 1.0 - x])
-    val, _, _ = _risk_terms(spec, q, eta)
+    val, = _risk_terms(spec, q, eta, 0)
     res = _kkt_residual(spec, q, eta)
     return MinimizerResult(q_star=q, objective=val, iterations=iterations,
                            converged=res <= KKT_TOL, kkt_residual=res)
 
 
 def _minimize_general(spec: LossSpec, eta: np.ndarray) -> MinimizerResult:
+    # deferred: scipy costs about a second to import and nothing else needs it
+    from scipy.optimize import minimize
+
     k = eta.shape[0]
     x0 = np.clip(eta, 1e-6, None)
     x0 = x0 / x0.sum()
 
     def fun(q):
-        val, grad, _ = _risk_terms(spec, q, eta)
-        return val, grad
+        return _risk_terms(spec, q, eta, 1)
 
     res = minimize(fun, x0, jac=True, method="SLSQP",
                    bounds=[(Q_LO, 1.0)] * k,
@@ -192,7 +194,7 @@ def _minimize_general(spec: LossSpec, eta: np.ndarray) -> MinimizerResult:
             q, best_res = qn, rn
         else:
             break
-    val, _, _ = _risk_terms(spec, q, eta)
+    val, = _risk_terms(spec, q, eta, 0)
     return MinimizerResult(q_star=q, objective=val, iterations=iterations,
                            converged=best_res <= KKT_TOL, kkt_residual=best_res)
 

@@ -5,7 +5,9 @@ calling the library code under test, so agreement is meaningful.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.optimize import linprog
 
 # ---------------------------------------------------------------------------
 # acceptance summary: one pass/fail line per criterion at the end of the run
@@ -157,6 +159,25 @@ def smce_bruteforce(probs, labels, step=1e-3):
             val = sliding_window_view(padded, 2 * w + 1).max(axis=1)
         val = val + weights[i] * grid
     return float(val.max()) / n
+
+
+# ---------------------------------------------------------------------------
+# smCE as a general LP: max sum_i w_i f_i over |f_i| <= 1, |f_{i+1} - f_i| <= d_i
+
+def smce_lp(probs, labels):
+    n, k = probs.shape
+    knots, inverse = np.unique(probs.ravel(), return_inverse=True)
+    weights = np.zeros(knots.size)
+    np.add.at(weights, inverse, (np.eye(k)[labels] - probs).ravel())
+    m = knots.size
+    if m == 1:
+        return abs(weights[0]) / n
+    diff = sp.diags([-np.ones(m - 1), np.ones(m - 1)], offsets=[0, 1], shape=(m - 1, m))
+    d = np.diff(knots)
+    res = linprog(-weights, A_ub=sp.vstack([diff, -diff]), b_ub=np.concatenate([d, d]),
+                  bounds=(-1.0, 1.0), method="highs")
+    assert res.success, res.message
+    return float(weights @ res.x) / n
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and none loads scipy.
 
 A name bound by a top-level ``import`` or ``from ... import`` counts as used
 if it is read anywhere in the module or listed in its ``__all__``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "focalcal").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "focalcal").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +41,12 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy takes about a second to import; only the K >= 3 SLSQP minimizer needs it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import focalcal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

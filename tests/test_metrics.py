@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import (naive_adaece, naive_cwece, naive_ece_mce, naive_scores,
                       naive_softmax, pairwise_auroc, rand_prediction_arrays,
-                      smce_bruteforce)
+                      smce_bruteforce, smce_lp)
+from focalcal import metrics
+from focalcal._common import ConvergenceError
 from focalcal.data import PredictionSet
 from focalcal.metrics import (BinningConfig, LipschitzWitness, adaece, auroc,
                               bin_predictions, classwise_ece, compute_report,
@@ -216,6 +218,77 @@ class TestSmce:
             probs, labels = rand_prediction_arrays(rng, n_max=40)
             v = smce(pset(probs, labels)).value
             assert 0.0 <= v <= 2.0
+
+
+def pooled_weights(probs, labels, knots):
+    """Residuals [y = k] - p_k summed at each knot, one sample at a time."""
+    weights = np.zeros(knots.size)
+    onehot = np.eye(probs.shape[1])[labels]
+    for p, r in zip(probs.ravel(), (onehot - probs).ravel()):
+        weights[np.searchsorted(knots, p)] += r
+    return weights
+
+
+def lp_cases():
+    """Random prediction logs up to about 2,000 knots, most with heavy ties."""
+    rng = np.random.default_rng(12)
+    for decimals in (1, 2, 3):
+        p1 = np.round(rng.uniform(size=3000), decimals)
+        yield np.column_stack([1.0 - p1, p1]), (rng.uniform(size=p1.size) < p1 ** 2).astype(int)
+    for decimals in (2, 3, None):
+        probs = rng.dirichlet(np.full(10, 0.3), size=200)
+        if decimals is not None:
+            probs = np.round(probs, decimals)
+            probs = probs / probs.sum(axis=1, keepdims=True)
+        yield probs, rng.integers(0, 10, size=200)
+    # rows that do not sum to one: the pooled weights no longer cancel, and
+    # the bound |f| <= 1 binds
+    for decimals in (1, 2):
+        probs = np.round(rng.uniform(size=(500, 2)), decimals)
+        yield probs, rng.integers(0, 2, size=500)
+    yield rng.uniform(size=(100, 10)) ** 3, rng.integers(0, 10, size=100)
+
+
+class TestSmceSolver:
+    @pytest.mark.parametrize("case", list(lp_cases()), ids=lambda c: f"m{np.unique(c[0]).size}")
+    def test_matches_lp(self, case):
+        probs, labels = case
+        res = smce(pset(probs, labels))
+        assert abs(res.value - smce_lp(probs, labels)) <= 1e-12
+        # rounding only: far below the SMCE_GAP_TOL bound
+        assert abs(res.duality_gap) <= 1e-14 * probs.size
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(prediction_sets())
+    def test_bounded_attained_and_ignores_row_order(self, case):
+        probs, labels, _, perm = case
+        res = smce(pset(probs, labels))
+        assert 0.0 <= res.value <= 2.0
+        weights = pooled_weights(probs, labels, res.witness.knots)
+        assert abs(weights @ res.witness.values / labels.size - res.value) <= 1e-9
+        # the greatest optimal witness is unique, so rounding in the pooled
+        # weights, which depends on row order, must not change it
+        moved = smce(pset(probs[perm], labels[perm]))
+        assert abs(moved.value - res.value) <= 1e-12
+        assert np.max(np.abs(moved.witness.values - res.witness.values)) <= 1e-9
+
+    def test_greatest_witness(self):
+        # one knot with zero pooled residual: every value in [-1, 1] is
+        # optimal, and the greatest is 1
+        res = smce(pset([[0.5, 0.5]], [0]))
+        assert res.witness.values.tolist() == [1.0]
+        assert res.value == 0.0
+
+    @pytest.mark.parametrize("perturb", [lambda x: 0.999 * x, np.zeros_like],
+                             ids=["shrunk", "zero"])
+    def test_uncertified_witness_raises(self, monkeypatch, perturb):
+        solve = metrics._max_chain
+        # a feasible but suboptimal witness in place of the solver's
+        monkeypatch.setattr(metrics, "_max_chain", lambda w, knots: perturb(solve(w, knots)))
+        rng = np.random.default_rng(13)
+        probs, labels = rand_prediction_arrays(rng, n_max=30)
+        with pytest.raises(ConvergenceError, match="duality gap"):
+            smce(pset(probs, labels))
 
 
 class TestLipschitzWitness:
