@@ -84,7 +84,10 @@ class PGapResult:
 def temperature_grid(t_min: float = 0.1, t_max: float = 10.0, t_step: float = 0.1) -> np.ndarray:
     if not t_step > 0.0:
         raise ValueError("temperature step must be > 0")
-    count = int(round((t_max - t_min) / t_step)) + 1
+    span = (t_max - t_min) / t_step
+    if not all(map(math.isfinite, (t_min, t_max, t_step, span))):
+        raise ValueError("temperature grid bounds and step must be finite")
+    count = int(round(span)) + 1
     if count < 1:
         raise ValueError("empty temperature grid")
     return np.round(t_min + t_step * np.arange(count), 12)

@@ -34,10 +34,10 @@ class LossSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and >= 0")
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must be in [0, 1)")
 

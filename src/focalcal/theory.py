@@ -6,9 +6,10 @@ optimal-prediction curves, and the overconfidence/underconfidence bound.
 
 The risk of every supported family is separable across classes:
 ``risk(q) = sum_i w_i * phi_gamma(q_i) + a * (||q||^2 - 2 eta.q + 1)`` with
-``phi_gamma(q) = -(1-q)^gamma log q``. The simplex minimizer is found with
-SLSQP plus a Newton polish on the KKT system (binary specs use exact
-bisection on the risk derivative instead).
+``phi_gamma(q) = -(1-q)^gamma log q``, each term convex in q_i. So for K >= 3
+the minimizer solves one equation in the multiplier mu of sum q = 1 by dual
+safeguarded Newton (``iterations`` counts the trial values of mu); binary
+specs bisect on the risk derivative (``iterations`` counts the steps).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .losses import LossSpec, batch_values, focal_phi
 Q_LO = 1e-12
 Q_HI = 1.0 - 1e-12
 KKT_TOL = 1e-8
+_BISECT_STEPS = 200
 
 
 @dataclass
@@ -45,46 +47,38 @@ class SigmaSpec:
     lam: float
 
     def __post_init__(self):
-        if self.gamma < 0.0 or self.lam < 0.0:
-            raise ValueError("gamma and lambda must be >= 0")
+        if not (0.0 <= self.gamma < np.inf and 0.0 <= self.lam < np.inf):
+            raise ValueError("gamma and lambda must be finite and >= 0")
 
 
 def _risk_coeffs(spec: LossSpec, eta: np.ndarray):
-    """Separable-risk coefficients: focal weights w, gamma, quadratic a."""
+    """Separable-risk coefficients: focal weights w, gamma (None: per value), quadratic a."""
     fam = spec.family
-    if fam == "ce":
-        return eta, 0.0, 0.0
     if fam == "label_smoothing":
-        k = eta.shape[0]
-        return (1.0 - spec.alpha) * eta + spec.alpha / k, 0.0, 0.0
+        return (1.0 - spec.alpha) * eta + spec.alpha / eta.shape[-1], 0.0, 0.0
     if fam == "brier":
         return np.zeros_like(eta), 0.0, 1.0
-    if fam == "focal":
-        return eta, spec.gamma, 0.0
-    if fam == "fcl":
-        return eta, spec.gamma, spec.lam
-    # flsd53: gamma depends on the coordinate value; handled per-evaluation
-    return eta, None, 0.0
-
-
-def _flsd_gamma_of(q):
-    return np.where(np.asarray(q) < 0.2, 5.0, 3.0)
+    gamma = {"ce": 0.0, "flsd53": None}.get(fam, spec.gamma)
+    return eta, gamma, spec.lam if fam == "fcl" else 0.0
 
 
 def _risk_terms(spec: LossSpec, q: np.ndarray, eta: np.ndarray, order: int = 2) -> list:
-    """[value, gradient, diagonal hessian][:order + 1] of the pointwise risk at q."""
+    """[value] for order 0, else [gradient, diagonal hessian][:order], of the risk
+    at q; ``q`` and ``eta`` broadcast as (..., K), and the value sums over K."""
     w, gamma, a = _risk_coeffs(spec, eta)
     if gamma is None:
-        gamma = _flsd_gamma_of(q)
+        gamma = np.where(q < 0.2, 5.0, 3.0)
     # a Brier spec has no focal term
     phi = focal_phi(q, gamma, order) if np.any(w) else [np.zeros_like(q)] * (order + 1)
-    out = [float(np.sum(w * phi[0]))] + [w * d for d in phi[1:]]
+    if order == 0:
+        value = np.sum(w * phi[0], axis=-1)
+        if a > 0.0:
+            value = value + a * (np.sum(q * q, axis=-1) - 2.0 * np.sum(eta * q, axis=-1) + 1.0)
+        return [value]
+    out = [w * d for d in phi[1:]]
     if a > 0.0:
-        out[0] += a * float(np.sum(q * q) - 2.0 * np.sum(eta * q) + 1.0)
-        if order >= 1:
-            out[1] = out[1] + 2.0 * a * (q - eta)
-        if order >= 2:
-            out[2] = out[2] + 2.0 * a
+        # a (|q|^2 - 2 eta.q + 1) has gradient 2a (q - eta) and hessian 2a
+        out = [d + c for d, c in zip(out, (2.0 * a * (q - eta), 2.0 * a))]
     return out
 
 
@@ -101,102 +95,106 @@ def pointwise_risk(spec: LossSpec, q, eta) -> float:
 
 
 def _kkt_residual(spec: LossSpec, q: np.ndarray, eta: np.ndarray) -> float:
-    _, grad = _risk_terms(spec, q, eta, 1)
-    at_lo = q <= Q_LO * 4.0
-    at_hi = q >= 1.0 - 1e-9
+    grad, = _risk_terms(spec, q, eta, 1)
+    at_lo, at_hi = q <= Q_LO * 4.0, q >= 1.0 - 1e-9
     free = ~(at_lo | at_hi)
-    if free.any():
-        mu = -float(grad[free].mean())
-    else:
-        mu = -float(grad.mean())
-    res = 0.0
-    if free.any():
-        res = float(np.max(np.abs(grad[free] + mu)))
-    if at_lo.any():
-        res = max(res, float(np.max(np.maximum(0.0, -(grad[at_lo] + mu)))))
-    if at_hi.any():
-        res = max(res, float(np.max(np.maximum(0.0, grad[at_hi] + mu))))
-    return res
+    mu = -float(grad[free].mean() if free.any() else grad.mean())
+    viol = np.where(free, np.abs(grad + mu), np.where(at_lo, -(grad + mu), grad + mu))
+    return max(0.0, float(np.max(viol)))
 
 
-def _minimize_binary(spec: LossSpec, eta: np.ndarray) -> MinimizerResult:
-    # exact bisection on the (nondecreasing) derivative of the 1-D restriction
+def _newton_root(f, lo, hi, x0):
+    """Zero of each element of a nondecreasing ``f`` inside its bracket [lo, hi].
+
+    ``f(x)`` returns (value, slope). An element takes the Newton step where
+    the slope is finite and > 0 and the step lands strictly inside its
+    bracket, and bisects otherwise. It stops when its value is exactly 0,
+    its raw Newton step is within 4 ulp, or its bracket has collapsed (an
+    element whose bracket starts collapsed stays at ``lo``), or after 200
+    passes. Returns the roots, the slopes there and the number of passes.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x = np.clip(x0, lo, hi)
+    active = lo < hi
+    for it in range(1, 201):
+        v, s = f(x)
+        # a stopped element never moves again, so its bracket may shrink freely
+        lo, hi = np.where(v < 0.0, x, lo), np.where(v > 0.0, x, hi)
+        ok = (s > 0.0) & (s < np.inf)
+        step = -v / np.where(ok, s, np.inf)
+        xn = x + step
+        done = ((v == 0.0) | (ok & (np.abs(step) <= 4.0 * np.spacing(np.abs(x))))
+                | (hi <= np.nextafter(lo, np.inf)))
+        move = active & ~done
+        x = np.where(move, np.where(ok & (xn > lo) & (xn < hi), xn, 0.5 * (lo + hi)), x)
+        active = move
+        if not active.any():
+            break
+    # a stopped element stays put, so the last slopes belong to the roots
+    return x, s, it
+
+
+def _minimize_simplex(spec: LossSpec, eta: np.ndarray):
+    """K >= 3: solve 1 - sum_i q_i(mu) = 0, whose slope is sum 1/f_i'' over free q_i.
+
+    q_i(mu) sits at the end of [Q_LO, top] where f_i' + mu keeps one sign over
+    it; no q_i on the simplex exceeds top. Returns q and the trial values of mu.
+    """
+    top = 1.0 - (eta.shape[0] - 1) * Q_LO
+    q = Q_LO + (1.0 - eta.shape[0] * Q_LO) * eta  # feasible, and equal where eta is
+    grad, hess = _risk_terms(spec, q, eta, 2)
+    ends, = _risk_terms(spec, np.array([[Q_LO], [top]]), eta, 1)
+
+    def excess(mu):
+        nonlocal q
+
+        def shifted(x):
+            g, h = _risk_terms(spec, x, eta, 2)
+            return g + mu, h
+
+        at_lo = ends[0] + mu >= 0.0
+        at_hi = ~at_lo & (ends[1] + mu <= 0.0)
+        q, hess, _ = _newton_root(shifted, np.where(at_hi, top, Q_LO),
+                                  np.where(at_lo, Q_LO, top), q)
+        free = (q > Q_LO) & (q < top) & (hess > 0.0)
+        return 1.0 - np.sum(q), np.sum(1.0 / np.where(free, hess, np.inf))
+
+    # mu lies between the extremes of -grad at q; start at its Newton estimate
+    mu_lo, mu_hi = float(np.min(-grad)), float(np.max(-grad))
+    inv = 1.0 / np.where(hess > 0.0, hess, np.inf)
+    mu0 = -np.sum(grad * inv) / np.sum(inv) if np.sum(inv) > 0.0 else 0.5 * (mu_lo + mu_hi)
+    _, _, iterations = _newton_root(excess, mu_lo, mu_hi, mu0)
+    return q, iterations
+
+
+def _minimize_binary(spec: LossSpec, eta: np.ndarray):
+    """Bisect the nondecreasing risk derivative of each row of ``eta`` (n, 2), each
+    row exactly as it would alone. Returns q (n, 2) and the steps per row."""
+    q = np.empty_like(eta)
+
     def deriv(x):
-        q = np.array([x, 1.0 - x])
-        _, g = _risk_terms(spec, q, eta, 1)
-        return g[0] - g[1]
+        q[:, 0], q[:, 1] = x, 1.0 - x
+        g, = _risk_terms(spec, q, eta, 1)
+        return g[:, 0] - g[:, 1]
 
-    lo, hi = Q_LO, Q_HI
+    lo, hi = np.full(eta.shape[0], Q_LO), np.full(eta.shape[0], Q_HI)
     d_lo, d_hi = deriv(lo), deriv(hi)
-    iterations = 0
-    if d_lo >= 0.0:
-        x = lo
-    elif d_hi <= 0.0:
-        x = hi
-    else:
-        for iterations in range(1, 201):
-            x = 0.5 * (lo + hi)
-            d = deriv(x)
-            if d > 0.0:
-                hi = x
-            else:
-                lo = x
-            if hi - lo < 1e-16:
-                break
-        x = 0.5 * (lo + hi)
-    q = np.array([x, 1.0 - x])
-    val, = _risk_terms(spec, q, eta, 0)
-    res = _kkt_residual(spec, q, eta)
-    return MinimizerResult(q_star=q, objective=val, iterations=iterations,
-                           converged=res <= KKT_TOL, kkt_residual=res)
-
-
-def _minimize_general(spec: LossSpec, eta: np.ndarray) -> MinimizerResult:
-    # deferred: scipy costs about a second to import and nothing else needs it
-    from scipy.optimize import minimize
-
-    k = eta.shape[0]
-    x0 = np.clip(eta, 1e-6, None)
-    x0 = x0 / x0.sum()
-
-    def fun(q):
-        return _risk_terms(spec, q, eta, 1)
-
-    res = minimize(fun, x0, jac=True, method="SLSQP",
-                   bounds=[(Q_LO, 1.0)] * k,
-                   constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0,
-                                 "jac": lambda q: np.ones(k)}],
-                   options={"ftol": 1e-14, "maxiter": 500})
-    q = np.clip(res.x, Q_LO, 1.0)
-    q = q / q.sum()
-    iterations = int(res.nit)
-
-    # Newton polish on the equality-constrained KKT system
-    best_res = _kkt_residual(spec, q, eta)
-    for _ in range(40):
-        if best_res <= 1e-13:
+    iterations = np.zeros(eta.shape[0], dtype=int)
+    active = ~(d_lo >= 0.0) & ~(d_hi <= 0.0)
+    for _ in range(_BISECT_STEPS):
+        if not active.any():
             break
-        _, grad, hess = _risk_terms(spec, q, eta)
-        free = (q > Q_LO * 4.0) & (q < 1.0 - 1e-9) & (hess > 0.0)
-        if not free.any():
-            break
-        inv_h = 1.0 / hess[free]
-        mu = -float(np.sum(grad[free] * inv_h) / np.sum(inv_h))
-        step = np.zeros_like(q)
-        step[free] = -(grad[free] + mu) * inv_h
-        scale = 1.0
-        qn = q + step
-        while scale > 1e-8 and (np.any(qn < Q_LO) or np.any(qn > 1.0)):
-            scale *= 0.5
-            qn = q + scale * step
-        rn = _kkt_residual(spec, qn, eta)
-        if rn < best_res:
-            q, best_res = qn, rn
-        else:
-            break
-    val, = _risk_terms(spec, q, eta, 0)
-    return MinimizerResult(q_star=q, objective=val, iterations=iterations,
-                           converged=best_res <= KKT_TOL, kkt_residual=best_res)
+        mid = 0.5 * (lo + hi)
+        up = deriv(mid) > 0.0
+        # a midpoint equal to an end would repeat this very step up to the cap
+        stuck = active & ((mid == lo) | (mid == hi))
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
+        iterations = np.where(stuck, _BISECT_STEPS, iterations + active)
+        active &= (hi - lo >= 1e-16) & ~stuck
+    x = np.where(d_lo >= 0.0, Q_LO, np.where(d_hi <= 0.0, Q_HI, 0.5 * (lo + hi)))
+    q[:, 0], q[:, 1] = x, 1.0 - x
+    return q, iterations
 
 
 def minimize_risk(spec: LossSpec, eta) -> MinimizerResult:
@@ -204,9 +202,12 @@ def minimize_risk(spec: LossSpec, eta) -> MinimizerResult:
     eta = as_simplex(eta)
     if spec.family == "flsd53":
         raise ValueError("flsd53 risk is discontinuous in q; minimizer undefined")
-    if eta.shape[0] == 2:
-        return _minimize_binary(spec, eta)
-    return _minimize_general(spec, eta)
+    q, iterations = (_minimize_simplex(spec, eta) if eta.shape[0] > 2
+                     else [a[0] for a in _minimize_binary(spec, eta[None])])
+    val, = _risk_terms(spec, q, eta, 0)
+    res = _kkt_residual(spec, q, eta)
+    return MinimizerResult(q_star=q, objective=float(val), iterations=int(iterations),
+                           converged=res <= KKT_TOL, kkt_residual=res)
 
 
 def sigma_eval(spec: SigmaSpec, q: float) -> float:
@@ -247,14 +248,11 @@ def optimal_curve(spec: LossSpec, q_grid) -> list[tuple[float, float]]:
     ``q`` is the ground-truth probability of class 0 and ``p*`` the optimal
     probability assigned to class 0.
     """
-    out = []
-    for q in np.asarray(q_grid, dtype=float):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("grid values must lie in [0, 1]")
-        eta = np.array([q, 1.0 - q])
-        res = _minimize_binary(spec, eta)
-        out.append((float(q), float(res.q_star[0])))
-    return out
+    grid = np.asarray(q_grid, dtype=float).reshape(-1)
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise ValueError("grid values must lie in [0, 1]")
+    q, _ = _minimize_binary(spec, np.stack([grid, 1.0 - grid], axis=-1))
+    return list(zip(grid.tolist(), q[:, 0].tolist()))
 
 
 def oc_uc_bound(p_hat, eta) -> dict:

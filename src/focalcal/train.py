@@ -234,6 +234,8 @@ def decision_grid(model: ModelState, bounds, resolution: int) -> list[dict]:
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     x0_min, x0_max, x1_min, x1_max = bounds
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError("bounds must be finite")
     if x0_max <= x0_min or x1_max <= x1_min:
         raise ValueError("degenerate bounds")
     g0 = np.linspace(x0_min, x0_max, resolution)

@@ -7,7 +7,7 @@ calling the library code under test, so agreement is meaningful.
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 # ---------------------------------------------------------------------------
 # acceptance summary: one pass/fail line per criterion at the end of the run
@@ -178,6 +178,54 @@ def smce_lp(probs, labels):
                   bounds=(-1.0, 1.0), method="highs")
     assert res.success, res.message
     return float(weights @ res.x) / n
+
+
+# ---------------------------------------------------------------------------
+# simplex risk minimizer as a general constrained solve (K >= 3)
+
+def definition_risk(spec, q, eta):
+    """sum_y eta_y * loss(q, e_y) and its gradient, from the per-target losses.
+
+    Probabilities are floored at 1e-12 inside logs and divisions, and so is
+    the base 1 - q_y of the focal term's gamma - 1 power. flsd53 is excluded.
+    """
+    q, eta = np.asarray(q, dtype=float), np.asarray(eta, dtype=float)
+    k = q.size
+    eye = np.eye(k)
+    qe = np.maximum(q, 1e-12)
+    fam = spec.family
+    if fam == "brier":
+        values, grads = np.sum((q - eye) ** 2, axis=1), 2.0 * (q - eye)
+    elif fam in ("ce", "label_smoothing"):
+        t = eye if fam == "ce" else (1.0 - spec.alpha) * eye + spec.alpha / k
+        values, grads = -(t @ np.log(qe)), -t / qe
+    else:
+        # target y sees only its own coordinate in the focal term
+        g, u = spec.gamma, 1.0 - q
+        values = -(u ** g) * np.log(qe)
+        grads = np.diag(g * np.maximum(u, 1e-12) ** (g - 1.0) * np.log(qe) - u ** g / qe)
+        if fam == "fcl":
+            values = values + spec.lam * np.sum((q - eye) ** 2, axis=1)
+            grads = grads + 2.0 * spec.lam * (q - eye)
+    return float(eta @ values), eta @ grads
+
+
+def simplex_minimizer_slsqp(spec, eta):
+    """SLSQP over the definition-level risk on {q >= 1e-12, sum q = 1}.
+
+    Returns the solver's last point, clipped and renormalized onto the
+    simplex, whether or not SLSQP reports success.
+    """
+    eta = np.asarray(eta, dtype=float)
+    k = eta.size
+    x0 = np.clip(eta, 1e-6, None)
+    res = minimize(lambda q: definition_risk(spec, q, eta), x0 / x0.sum(), jac=True,
+                   method="SLSQP", bounds=[(1e-12, 1.0 - 1e-12)] * k,
+                   constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0,
+                                 "jac": lambda q: np.ones(k)}],
+                   options={"ftol": 1e-14, "maxiter": 500})
+    q = np.clip(res.x, 1e-12, None)
+    return q / q.sum()
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,27 @@ class TestExitCodes:
     def test_nonpositive_curve_step(self, step):
         self.assert_rejected(["curve", "--loss", "ce", "--step", step])
 
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--eta", "0.7,0.3", "--gamma", "nan"],
+        ["curve", "--loss", "fcl", "--gamma", "nan"],
+        ["sigma-root", "--gamma", "nan", "--lambda", "1"],
+        ["pgap", "--input", PREDS, "--gamma", "nan"],
+        ["minimize", "--eta", "0.2,0.3,0.5", "--lambda", "inf"],
+        ["sigma-root", "--gamma", "1", "--lambda", "nan"],
+        ["minimize", "--eta", "0.7,0.3", "--loss", "label_smoothing", "--alpha", "nan"],
+    ], ids=lambda argv: " ".join(a for a in argv if a != PREDS))
+    def test_nonfinite_loss_parameter(self, argv):
+        self.assert_rejected(argv)
+
+    @pytest.mark.parametrize("flag", [["--t-max", "inf"], ["--t-min", "nan"],
+                                      ["--t-step", "inf"]], ids=" ".join)
+    def test_nonfinite_temperature_grid(self, flag):
+        self.assert_rejected(["temp-scale", "--val", str(FIX / "logits_val.jsonl"), *flag])
+
+    def test_nonfinite_boundary_bounds(self, tmp_path):
+        self.assert_rejected(["boundary", "--model", str(FIX / "model.json"),
+                              "--bounds", "0,1,0,nan", "--out", str(tmp_path / "b.csv")])
+
     def test_boolean_label(self, tmp_path):
         bad = tmp_path / "bool.jsonl"
         bad.write_text('{"probs": [0.4, 0.6], "label": true}\n'
@@ -119,6 +140,14 @@ class TestSmallOracles:
         assert result["best_t"] == 2.0
         assert result["post_ece"] <= result["pre_ece"]
         assert "test_pre_ece" in result and "test_post_ece" in result
+
+    def test_minimize_zero_entry_converges(self, tmp_path):
+        out = tmp_path / "m.json"
+        rc, _, _ = run_capture(["minimize", "--eta", "0,0.52,0.08,0.4", "--loss", "fcl",
+                                "--gamma", "3", "--lambda", "0.5", "--out", str(out)])
+        result = json.loads(out.read_text())
+        assert rc == 0 and result["converged"] is True
+        assert result["kkt_residual"] <= 1e-8
 
 
 class TestInputParity:

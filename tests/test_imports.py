@@ -1,7 +1,8 @@
-"""Every module-level import in the package is used, and none loads scipy.
+"""Every module-level import in the package is used, and no import names scipy.
 
 A name bound by a top-level ``import`` or ``from ... import`` counts as used
-if it is read anywhere in the module or listed in its ``__all__``.
+if it is read anywhere in the module or listed in its ``__all__``. The scipy
+check covers every import statement, function-local ones included.
 """
 
 import ast
@@ -43,8 +44,33 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def scipy_imports(source: str) -> list[str]:
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            lines.append(f"line {node.lineno}")
+    return lines
+
+
+def test_checker_flags_a_function_local_scipy_import():
+    src = ("import scipy.sparse as sp\nfrom . import scipyish\n"
+           "def f():\n    from scipy.optimize import minimize\n    return minimize\n")
+    assert scipy_imports(src) == ["line 1", "line 4"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text()) == []
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy takes about a second to import; only the K >= 3 SLSQP minimizer needs it
+    # scipy takes about a second to import, and the package does not use it
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import focalcal.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,

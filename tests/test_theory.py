@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import definition_risk, simplex_minimizer_slsqp
 from focalcal.calibrate import ConvergenceError
 from focalcal.losses import LossSpec, eval_loss
-from focalcal.theory import (MinimizerResult, SigmaSpec, minimize_risk,
-                             oc_uc_bound, optimal_curve,
+from focalcal.theory import (MinimizerResult, SigmaSpec, _kkt_residual, _risk_terms,
+                             minimize_risk, oc_uc_bound, optimal_curve,
                              order_preservation_check, pointwise_risk,
                              sigma_eval, sigma_root)
 
@@ -104,6 +105,104 @@ class TestMinimizeRisk:
         res = minimize_risk(LossSpec(family="ce"), [0.4, 0.6])
         assert set(res.to_json()) == {"q_star", "objective", "iterations",
                                       "converged", "kkt_residual"}
+
+
+# every family with a well-defined minimizer (flsd53's risk is discontinuous)
+SIMPLEX_SPECS = [LossSpec(family="ce"), LossSpec(family="label_smoothing", alpha=0.1),
+                 LossSpec(family="brier"), LossSpec(family="focal", gamma=0.5),
+                 LossSpec(family="focal", gamma=2.0), LossSpec(family="focal", gamma=5.0),
+                 LossSpec(family="fcl", gamma=0.0, lam=0.5),
+                 LossSpec(family="fcl", gamma=1.0, lam=0.5),
+                 LossSpec(family="fcl", gamma=3.0, lam=0.5),
+                 LossSpec(family="fcl", gamma=5.0, lam=1.5)]
+
+
+def spec_id(spec):
+    return "-".join(map(str, spec.to_json().values()))
+
+
+def simplex_etas():
+    rng = np.random.default_rng(6)
+    etas = [rng.dirichlet(np.full(k, conc))
+            for k in range(3, 11) for conc in (0.1, 1.0) for _ in range(2)]
+    return etas + [np.eye(3)[0], np.eye(5)[3], np.array([0.0, 0.52, 0.08, 0.4]),
+                   np.array([0.5, 0.0, 0.5]), np.array([0.0, 0.0, 0.3, 0.7, 0.0, 0.0])]
+
+
+class TestSimplexMinimizer:
+    @pytest.mark.parametrize("spec", SIMPLEX_SPECS, ids=spec_id)
+    def test_no_worse_than_slsqp_oracle(self, spec):
+        # SLSQP itself may stop short, so only the objectives are compared
+        for eta in simplex_etas():
+            res = minimize_risk(spec, eta)
+            assert res.converged and res.kkt_residual <= 1e-8, (eta, res)
+            assert np.all(res.q_star >= 1e-12) and abs(res.q_star.sum() - 1.0) <= 1e-12
+            risk, _ = definition_risk(spec, res.q_star, eta)
+            assert abs(res.objective - risk) <= 1e-12 * (1.0 + abs(risk))
+            q_oracle = simplex_minimizer_slsqp(spec, eta)
+            assert risk <= definition_risk(spec, q_oracle, eta)[0] + 1e-12, eta
+
+    def test_flat_derivative_stays_on_simplex(self):
+        # phi' of gamma = 50 underflows to 0 near q = 1, so the whole top of the
+        # interval solves the stationarity equation; the feasible end is taken
+        res = minimize_risk(LossSpec(family="focal", gamma=50.0), [1.0, 0.0, 0.0])
+        assert res.converged and res.q_star.tolist() == [1.0 - 2e-12, 1e-12, 1e-12]
+
+    def test_certificate_flags_wrong_points(self):
+        # each wrong point breaks exactly one KKT condition
+        ce, brier = LossSpec(family="ce"), LossSpec(family="brier")
+        eta = np.array([0.2, 0.3, 0.5])
+        assert _kkt_residual(ce, eta, eta) <= 1e-15
+        for spec, e, q in [
+                (ce, eta, [0.3, 0.3, 0.4]),                  # stationarity, free coordinates
+                (ce, eta, [1e-12, 0.375, 0.625]),            # held at the lower bound
+                (brier, [0.25, 0.25, 0.5], [4e-10, 4e-10, 1.0 - 8e-10])]:  # at the upper end
+            assert _kkt_residual(spec, np.array(q), np.array(e)) > 0.1
+
+    def test_equal_eta_entries_give_equal_q(self):
+        res = minimize_risk(LossSpec(family="fcl", gamma=5.0, lam=0.5), [0.1, 0.1, 0.8])
+        assert res.q_star[0] == res.q_star[1]
+        rng = np.random.default_rng(7)
+        for spec in SIMPLEX_SPECS:
+            half = rng.dirichlet(np.ones(3)) / 2.0
+            q = minimize_risk(spec, np.concatenate([half, half])).q_star
+            assert np.array_equal(q[:3], q[3:])
+
+
+def scalar_bisection(spec, eta):
+    """One posterior at a time: bisect the risk derivative until the bracket is
+    below 1e-16, or for 200 steps, then take the midpoint."""
+    def deriv(x):
+        g, = _risk_terms(spec, np.array([x, 1.0 - x]), eta, 1)
+        return g[0] - g[1]
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    if deriv(lo) >= 0.0:
+        return lo, 0
+    if deriv(hi) <= 0.0:
+        return hi, 0
+    for steps in range(1, 201):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if deriv(mid) > 0.0 else (mid, hi)
+        if hi - lo < 1e-16:
+            break
+    return 0.5 * (lo + hi), steps
+
+
+class TestBinaryBisection:
+    @pytest.mark.parametrize("spec", SIMPLEX_SPECS + [LossSpec(family="flsd53")], ids=spec_id)
+    def test_batch_matches_scalar_loop_and_pointwise_minimizer(self, spec):
+        # rows stop early once their midpoint repeats, yet report 200 steps
+        grid = np.concatenate([np.round(np.arange(0.0, 1.0001, 0.05), 10),
+                               [1e-9, 0.5 + 1e-12, 1.0 - 1e-9]])
+        curve = optimal_curve(spec, grid)
+        assert [q for q, _ in curve] == grid.tolist()
+        for q, p in curve:
+            x, steps = scalar_bisection(spec, np.array([q, 1.0 - q]))
+            assert p == x
+            if spec.family != "flsd53":
+                res = minimize_risk(spec, [q, 1.0 - q])
+                assert res.q_star[0] == p and res.iterations == steps
 
 
 class TestSigma:
