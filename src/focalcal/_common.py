@@ -17,27 +17,64 @@ class ConvergenceError(RuntimeError):
     """Raised when a numerical solver fails to reach its tolerance."""
 
 
-# numpy's counterpart of each math function, for the arguments where math
-# raises instead of returning inf or nan
+# the numpy ufunc that computes each math function
 _UFUNCS = {math.exp: np.exp, math.log: np.log, math.pow: np.power}
 _EXACT_POWERS = (-1.0, 0.5, 2.0)
 
 
 def libm(fn, *args) -> np.ndarray:
-    """Apply ``math.exp``, ``math.log`` or ``math.pow`` element by element.
+    """Apply ``math.exp``, ``math.log`` or ``math.pow`` with libm's bits, at numpy speed.
 
     numpy may evaluate float64 exp/log/power with SIMD loops that are not
     correctly rounded (its AVX-512 exp and pow differ from libm on about 5%
     of arguments), so the same input gives different bits on different CPUs.
-    Going through ``math`` gives libm's result on every numpy build. The
-    arguments broadcast like a ufunc's; where ``math`` raises (log(0),
-    overflow, pow of a negative base) the result is numpy's inf or nan.
-    A scalar exponent of -1, 0.5 or 2 keeps the exactly rounded reciprocal,
-    sqrt or square that ``**`` uses for it, which libm's pow is not.
+    The arguments broadcast like a ufunc's, and the result is a fresh
+    C-contiguous float64 array of the broadcast shape; where ``math`` raises
+    (log(0), overflow, pow of a negative base) it holds numpy's inf or nan,
+    with no warning. A scalar exponent of -1, 0.5 or 2 keeps the exactly
+    rounded reciprocal, sqrt or square that ``**`` uses for it, which
+    libm's pow is not; that path is ``**`` itself, warnings included.
+
+    Each array operand is raveled to 1-D and reversed, and the ufunc runs
+    on those negatively strided views. numpy (checked on 2.4.6) takes its
+    SIMD loops only for non-negative strides, so a reversed input runs the
+    scalar loop, which calls libm. This is dispatch behaviour, not a
+    documented API, so a probe at import (``_probe``) compares the route
+    with ``math`` on 4,096 fixed arguments per function, and a function
+    that fails it goes through ``math`` element by element instead
+    (``_libm_map``). Three ways of writing the route silently bring the
+    SIMD bits back: passing a reversed view as ``out=`` (numpy flips every
+    operand back to positive strides), reversing only the last axis of a
+    2-D array, and a 0-d operand as the only input (``np.exp`` of a 0-d
+    array differs, so an all-0-d call runs on shape (1,)). A 0-d operand
+    beside an array operand is safe, and is not repeated.
     """
     arrays = [np.asarray(a, dtype=float) for a in args]
     if fn is math.pow and arrays[1].ndim == 0 and float(arrays[1]) in _EXACT_POWERS:
         return arrays[0] ** float(arrays[1])
+    if not _STRIDED[fn]:
+        return _libm_map(fn, arrays)
+    shapes = {a.shape for a in arrays if a.ndim}
+    if len(shapes) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+        shapes = {arrays[0].shape}
+    shape = shapes.pop() if shapes else ()
+    return _reversed(_UFUNCS[fn], *(a.reshape(-1) if a.ndim or not shape else a
+                                    for a in arrays)).reshape(shape)
+
+
+def _reversed(ufunc, *cols) -> np.ndarray:
+    """``ufunc`` over 1-D columns (or 0-d scalars), run on negatively strided views."""
+    # a column that already runs backwards is copied first: reversing it
+    # would hand numpy a forward stride
+    views = [(c.copy() if c.strides[0] < 0 else c)[::-1] if c.ndim else c for c in cols]
+    with np.errstate(all="ignore"):
+        out = ufunc(*views)
+    return out[::-1].copy()
+
+
+def _libm_map(fn, arrays) -> np.ndarray:
+    """``fn`` applied through ``math`` one element at a time."""
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     # a 0-d argument (a scalar exponent, say) is repeated, not broadcast
     cols = [itertools.repeat(float(a)) if a.ndim == 0
@@ -57,6 +94,30 @@ def _libm_or_ufunc(fn, *xs):
     except (ValueError, OverflowError):
         with np.errstate(all="ignore"):
             return float(_UFUNCS[fn](*xs))
+
+
+def _probe_args(fn) -> list[tuple]:
+    """Fixed arguments for ``_probe``: 4,096 golden-ratio points per operand.
+
+    A SIMD loop differs from libm on 0.5% (log) to 5% (exp, pow) of them.
+    """
+    i = np.arange(1.0, 4097.0)
+    u, v = (i * 0.6180339887498949) % 1.0, (i * 0.7548776662466927) % 1.0
+    if fn is math.exp:
+        return [(60.0 * u - 40.0,)]
+    if fn is math.log:
+        return [(2.0 * u,)]
+    return [(u, 9.0 * v - 3.0), (u, np.asarray(2.7))]
+
+
+def _probe(fn, route=_reversed) -> bool:
+    """True if ``route(ufunc, *args)`` gives ``math``'s bits on the probe arguments."""
+    return all(np.array_equal(route(_UFUNCS[fn], *args), _libm_map(fn, args))
+               for args in _probe_args(fn))
+
+
+# whether each function takes the reversed-stride route; checked once, here
+_STRIDED = {fn: _probe(fn) for fn in _UFUNCS}
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

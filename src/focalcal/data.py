@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._common import as_simplex, softmax
+from ._common import as_simplex, libm, softmax
 
 
 class DataFormatError(ValueError):
@@ -241,7 +241,7 @@ def gen_moons(cfg: SyntheticConfig) -> list[LabeledPoint]:
 
 def gauss2_posterior(x1: np.ndarray, class_sep: float, noise: float) -> np.ndarray:
     """Exact class-1 posterior of the two-Gaussian mixture at abscissa x1."""
-    return 1.0 / (1.0 + np.exp(-class_sep * np.asarray(x1, dtype=float) / noise ** 2))
+    return 1.0 / (1.0 + libm(math.exp, -class_sep * np.asarray(x1, dtype=float) / noise ** 2))
 
 
 def gen_gauss2(cfg: SyntheticConfig) -> list[LabeledPoint]:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._common import LOG_EPS, ConvergenceError
+from ._common import LOG_EPS, ConvergenceError, libm
 from .data import PredictionSet
 
 DEFAULT_BINS = 15
@@ -332,7 +332,7 @@ def smce(pset: PredictionSet) -> SmceResult:
 def score_metrics(pset: PredictionSet) -> dict:
     """Mean NLL (log floored at 1e-12), Brier score, and top-1 error."""
     p_true = pset.probs[np.arange(pset.n), pset.labels]
-    nll = float(np.mean(-np.log(np.maximum(p_true, LOG_EPS))))
+    nll = float(np.mean(-libm(math.log, np.maximum(p_true, LOG_EPS))))
     onehots = np.eye(pset.k)[pset.labels]
     brier = float(np.mean(np.sum((pset.probs - onehots) ** 2, axis=1)))
     error = float(np.mean(pset.predicted() != pset.labels))

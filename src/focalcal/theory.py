@@ -14,6 +14,7 @@ specs bisect on the risk derivative (``iterations`` counts the steps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ from .losses import LossSpec, batch_values, focal_phi
 Q_LO = 1e-12
 Q_HI = 1.0 - 1e-12
 KKT_TOL = 1e-8
+# |sum q - 1| above this is off the simplex, whatever the KKT residual says;
+# a solved point sums to 1 within a few ulp
+SIMPLEX_TOL = 1e-12
 _BISECT_STEPS = 200
 
 
@@ -206,8 +210,9 @@ def minimize_risk(spec: LossSpec, eta) -> MinimizerResult:
                      else [a[0] for a in _minimize_binary(spec, eta[None])])
     val, = _risk_terms(spec, q, eta, 0)
     res = _kkt_residual(spec, q, eta)
+    on_simplex = abs(float(q.sum()) - 1.0) <= SIMPLEX_TOL
     return MinimizerResult(q_star=q, objective=float(val), iterations=int(iterations),
-                           converged=res <= KKT_TOL, kkt_residual=res)
+                           converged=res <= KKT_TOL and on_simplex, kkt_residual=res)
 
 
 def sigma_eval(spec: SigmaSpec, q: float) -> float:
@@ -215,8 +220,8 @@ def sigma_eval(spec: SigmaSpec, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in the open interval (0, 1)")
     g, lam = spec.gamma, spec.lam
-    middle = 0.0 if g == 0.0 else g * q * np.log(q) * (1.0 - q) ** (g - 1.0)
-    return float((1.0 - q) ** g - middle - 2.0 * lam * q)
+    middle = 0.0 if g == 0.0 else g * q * math.log(q) * math.pow(1.0 - q, g - 1.0)
+    return float(math.pow(1.0 - q, g) - middle - 2.0 * lam * q)
 
 
 def sigma_root(spec: SigmaSpec, tol: float = 1e-10) -> float:

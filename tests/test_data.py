@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -158,6 +159,12 @@ class TestGauss2:
             d1 = np.exp(-((x1 - sep / 2) ** 2) / (2 * s * s))
             d0 = np.exp(-((x1 + sep / 2) ** 2) / (2 * s * s))
             assert abs(gauss2_posterior(x1, sep, s) - d1 / (d0 + d1)) < 1e-12
+
+    def test_posterior_has_libm_bits(self):
+        # the posterior is written out by `synth`, so its exp goes through libm
+        x1 = np.random.default_rng(1).uniform(-3.0, 3.0, size=1000)
+        want = [1.0 / (1.0 + math.exp(-3.0 * x / 0.7 ** 2)) for x in x1.tolist()]
+        assert gauss2_posterior(x1, 3.0, 0.7).tolist() == want
 
     def test_eta_normalized(self):
         pts = gen_gauss2(SyntheticConfig(kind="gauss2", n=200, noise=0.5, seed=3))

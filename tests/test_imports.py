@@ -2,7 +2,8 @@
 
 A name bound by a top-level ``import`` or ``from ... import`` counts as used
 if it is read anywhere in the module or listed in its ``__all__``. The scipy
-check covers every import statement, function-local ones included.
+check covers every import statement, function-local ones included. Importing
+the CLI loads neither scipy nor ``numpy.random``.
 """
 
 import ast
@@ -69,10 +70,21 @@ def test_no_scipy_import(path):
     assert scipy_imports(path.read_text()) == []
 
 
+def modules_loaded_by_cli_import(prefix: str) -> str:
+    """Modules named ``prefix`` or below it, after a fresh interpreter imports the CLI."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import focalcal.cli; "
+            "print(sorted(m for m in sys.modules if (m + '.').startswith(sys.argv[2] + '.')))")
+    return subprocess.run([sys.executable, "-c", code, str(SRC), prefix], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy takes about a second to import, and the package does not use it
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import focalcal.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily, and importing it takes about 14 ms even
+    # with a warm file cache (-X importtime); the libm probe that runs at
+    # import draws its arguments without it
+    assert modules_loaded_by_cli_import("numpy.random") == "[]"

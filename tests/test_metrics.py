@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,13 @@ class TestScores:
         assert abs(out["nll"] - nll) < 1e-12
         assert abs(out["brier"] - brier) < 1e-12
         assert out["error"] == err
+
+    def test_nll_has_libm_bits(self):
+        # numpy's AVX-512 log gives -0.3553172433897132 here; libm gives ...327.
+        # The mean of 16 equal values is exact, so nll is -log(x) itself
+        x = 0.7009510358491696
+        out = score_metrics(pset(np.tile([x, 1.0 - x], (16, 1)), np.zeros(16)))
+        assert out["nll"] == -math.log(x) == 0.35531724338971327
 
 
 class TestAuroc:

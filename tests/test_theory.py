@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import definition_risk, simplex_minimizer_slsqp
+from focalcal import theory
 from focalcal.calibrate import ConvergenceError
 from focalcal.losses import LossSpec, eval_loss
-from focalcal.theory import (MinimizerResult, SigmaSpec, _kkt_residual, _risk_terms,
+from focalcal.theory import (KKT_TOL, MinimizerResult, SigmaSpec, _kkt_residual, _risk_terms,
                              minimize_risk, oc_uc_bound, optimal_curve,
                              order_preservation_check, pointwise_risk,
                              sigma_eval, sigma_root)
@@ -147,6 +148,16 @@ class TestSimplexMinimizer:
         # interval solves the stationarity equation; the feasible end is taken
         res = minimize_risk(LossSpec(family="focal", gamma=50.0), [1.0, 0.0, 0.0])
         assert res.converged and res.q_star.tolist() == [1.0 - 2e-12, 1e-12, 1e-12]
+
+    def test_off_simplex_point_is_not_converged(self, monkeypatch):
+        # at gamma = 50 phi' underflows near 1, so the KKT residual of this point,
+        # which sums to 1 + 2e-12, is 0; only the simplex check can reject it
+        spec, eta = LossSpec(family="focal", gamma=50.0), np.array([1.0, 0.0, 0.0])
+        q = np.array([1.0, 1e-12, 1e-12])
+        monkeypatch.setattr(theory, "_minimize_simplex", lambda spec, eta: (q.copy(), 1))
+        res = minimize_risk(spec, eta)
+        assert res.kkt_residual == _kkt_residual(spec, q, eta) <= KKT_TOL
+        assert not res.converged
 
     def test_certificate_flags_wrong_points(self):
         # each wrong point breaks exactly one KKT condition
