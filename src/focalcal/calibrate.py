@@ -13,6 +13,7 @@ answer is certified by its KKT residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,9 +132,9 @@ def temperature_scan(val: PredictionSet, cfg: BinningConfig = BinningConfig(),
 def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray):
     """Loss, first and second derivative at class-1 probability ``kappa``.
 
-    Returns (l1, l0, d1, d0, h1, h0): values/derivatives for label 1 and 0.
-    Label 1 scores the focal term at kappa and label 0 at 1 - kappa; ce is
-    the focal term with gamma = 0.
+    Returns (l1, l0, d1, d0, h1, h0) over a 1-D ``kappa``: values/derivatives
+    for label 1 and 0. Label 1 scores the focal term at kappa and label 0 at
+    1 - kappa; ce is the focal term with gamma = 0.
     """
     # keep the fractional powers real-valued for arguments a hair outside [0, 1]
     p = np.clip(kappa, 0.0, 1.0)
@@ -143,8 +144,11 @@ def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray):
         return (2.0 * q ** 2, 2.0 * p ** 2, -4.0 * q, 4.0 * p,
                 np.full_like(p, 4.0), np.full_like(p, 4.0))
     gamma = 0.0 if spec.family == "ce" else spec.gamma
-    l1, d1, h1 = focal_phi(p, gamma, 2)
-    l0, d0, h0 = focal_phi(q, gamma, 2)
+    # one call for both labels: the terms are elementwise, so the bits are
+    # those of two separate calls
+    m = len(p)
+    (l1, l0), (d1, d0), (h1, h0) = ((phi[:m], phi[m:]) for phi in
+                                    focal_phi(np.concatenate([p, q]), gamma, 2))
     d0 = -d0  # chain rule through q = 1 - kappa
     if spec.family == "fcl" and spec.lam > 0.0:
         lam = spec.lam
@@ -187,42 +191,81 @@ def _root(slope, x: float, lo: float, hi: float, maxiter: int = 200):
     return x, h
 
 
-def _argmin_unit(slope, x: float):
-    """Minimizer over [0, 1] of a convex function, and its curvature there."""
-    g, h = slope(x)
-    if g > 0.0 and x > 0.0:
-        g0, h0 = slope(0.0)
-        return (0.0, h0) if g0 >= 0.0 else _root(slope, x, 0.0, x)
-    if g < 0.0 and x < 1.0:
-        g1, h1 = slope(1.0)
-        return (1.0, h1) if g1 <= 0.0 else _root(slope, x, x, 1.0)
-    return x, h
+def _unit_minimizers(slope_at, x: np.ndarray):
+    """Each knot's own minimizer over [0, 1], and the curvature there, in one pass.
+
+    ``slope_at(idx, x)`` returns per-knot (f_i'(x_i), f_i''(x_i)) arrays for
+    knots ``idx``, each f_i convex; ``x`` holds a first guess per knot. Row
+    by row this takes the steps of ``_root`` on a single knot: the bounds 0
+    and 1 are tested first, then the rows whose sign change lies inside are
+    iterated together until each stops.
+    """
+    rows = np.arange(x.size)
+    g, h = slope_at(rows, x)
+    y = x.copy()
+    down, up = (g > 0.0) & (x > 0.0), (g < 0.0) & (x < 1.0)
+    # the bound the slope points to is the minimizer if the slope keeps its sign there
+    ends = rows[down | up]
+    bound = up[ends].astype(float)
+    g, h_end = slope_at(ends, bound)
+    pinned = np.where(up[ends], g <= 0.0, g >= 0.0)
+    y[ends[pinned]], h[ends[pinned]] = bound[pinned], h_end[pinned]
+    # otherwise the sign change lies between x and that bound
+    live = ends[~pinned]
+    lo, hi = np.where(up, x, 0.0), np.where(up, 1.0, x)
+    step_old = hi - lo
+    for _ in range(200):  # _root's maxiter
+        if not live.size:
+            break
+        at = y[live]
+        g, hl = slope_at(live, at)
+        h[live] = hl
+        l = lo[live] = np.where(g < 0.0, at, lo[live])
+        u = hi[live] = np.where(g > 0.0, at, hi[live])
+        step = np.divide(g, hl, out=np.full_like(g, math.inf), where=hl > 0.0)
+        # np.spacing(|x|) is math.ulp(x)
+        stop = ~((g < 0.0) | (g > 0.0)) | (np.abs(step) <= 2.0 * np.spacing(np.abs(at)))
+        inside = lambda step: (l < at - step) & (at - step < u)  # noqa: E731
+        bisect = ~inside(step) | (np.abs(2.0 * step) > np.abs(step_old[live]))
+        step = np.where(bisect, at - 0.5 * (l + u), step)
+        stop |= bisect & ~inside(step)
+        step_old[live] = step
+        y[live[~stop]] = (at - step)[~stop]
+        live = live[~stop]
+    return y, h
 
 
 def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Minimize sum_j f_j(kappa_j) over 0 <= kappa_{j+1} - kappa_j <= w_j, kappa in [0, 1].
 
-    Each f_j is convex; ``slope_at(idx, x)`` returns (sum_i f_i'(x_i),
-    sum_i f_i''(x_i)) over knots ``idx`` at points ``x``; ``start`` holds a
-    first guess for each knot on its own.
+    Each f_j is convex; ``slope_at(idx, x)`` returns per-knot arrays
+    (f_i'(x_i), f_i''(x_i)) over knots ``idx`` at points ``x``; ``start``
+    holds a first guess for each knot on its own.
 
-    A forward pass finds y_j, the minimizer over [0, 1] of the value function
+    The first phase finds every knot's own minimizer r_j over [0, 1] at once
+    (``_unit_minimizers``); it does not depend on the chain. The second, a
+    forward pass, finds y_j, the minimizer over [0, 1] of the value function
     V_j(x) = f_j(x) + min over y in [x - w_{j-1}, x] of V_{j-1}(y). Since
     V_{j-1} is convex that inner minimum is attained at the clip of y_{j-1}
     to the window, so V_j'(x) is the sum of f_i' over the chain of knots tied
     to x by tight links (kappa_i = kappa_{i+1}, or kappa_i = kappa_{i+1} - w_i)
     back to the first slack one. Those chains are the blocks of the active
-    set; they merge and split as x moves. Knot j on its own has minimizer r;
-    if the link to y_{j-1} is slack at r then y_j = r, otherwise knot j joins
-    the block ending at j-1 and y_j lies between r and the end of that link.
-    Newton on V_j' starts from the merged block's linearization. Backtracking
-    from y_{m-1} through the clips then gives the minimizer.
+    set; they merge and split as x moves. If the link to y_{j-1} is slack at
+    r_j then y_j = r_j, otherwise knot j joins the block ending at j-1 and
+    y_j lies between r_j and the end of that link: ``_root`` finds it,
+    starting from the merged block's linearization, with the block's terms
+    summed by ``math.fsum`` so the bits do not depend on their order.
+    Backtracking from y_{m-1} through the clips then gives the minimizer.
     """
     ws = w.tolist()
     ys: list[float] = []
     hs: list[float] = []  # V_j'' near y_j, for first guesses only
 
-    def slope(j, x):
+    def slope(idx, pts):
+        g, h = slope_at(idx, pts)
+        return math.fsum(g.tolist()), math.fsum(h.tolist())
+
+    def level(j, x):
         idx, pts = [j], [x]
         for i in range(j - 1, -1, -1):
             y = ys[i]
@@ -232,28 +275,27 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
                 break
             idx.append(i)
             pts.append(x)
-        return slope_at(idx, pts)
+        return slope(idx, pts)
 
-    for j, x0 in enumerate(start.tolist()):
-        knot = lambda x: slope_at([j], [x])  # noqa: E731
-        level = lambda x: slope(j, x)  # noqa: E731
-        y, h = _argmin_unit(knot, x0)
+    own, own_h = _unit_minimizers(slope_at, start)
+    for j, (y, h) in enumerate(zip(own.tolist(), own_h.tolist())):
         if j and ys[-1] < y - ws[j - 1]:
             # link to j-1 stretched at y: V_j' > 0 there unless y is the bound 1
             lo = edge = ys[-1] + ws[j - 1]
             hi = y
-            search = y < 1.0 or level(1.0)[0] > 0.0
+            search = y < 1.0 or level(j, 1.0)[0] > 0.0
         elif j and ys[-1] > y:
             # link squeezed at y: V_j' < 0 there unless y is the bound 0
             lo, hi = y, ys[-1]
             edge = hi
-            search = y > 0.0 or level(0.0)[0] < 0.0
+            search = y > 0.0 or level(j, 0.0)[0] < 0.0
         else:
             search = False  # link slack at y: V_j' = f_j' there
         if search:
             # first guess: knot j merged into the block ending at j-1
-            g, h = knot(edge)
-            y, h = _root(level, min(max(edge - g / (h + hs[-1]), lo), hi), lo, hi)
+            g, h = slope([j], [edge])
+            y, h = _root(functools.partial(level, j),
+                         min(max(edge - g / (h + hs[-1]), lo), hi), lo, hi)
         ys.append(y)
         hs.append(h)
 
@@ -307,10 +349,9 @@ def pgap(pset: PredictionSet, spec: LossSpec) -> PGapResult:
         return math.fsum((n1 * l1 + n0 * l0).tolist()) / pset.n
 
     def slope_at(idx, x):
-        _, _, d1, d0, h1, h0 = _binary_loss_terms(spec, np.array(x))
+        _, _, d1, d0, h1, h0 = _binary_loss_terms(spec, np.asarray(x, dtype=float))
         a, b = n1[idx], n0[idx]
-        # fsum: correctly rounded, so the same bits whatever the BLAS
-        return math.fsum((a * d1 + b * d0).tolist()), math.fsum((a * h1 + b * h0).tolist())
+        return a * d1 + b * d0, a * h1 + b * h0
 
     kappa = _solve_chain(slope_at, w, knots)
     _, _, d1, d0, _, _ = _binary_loss_terms(spec, kappa)

@@ -93,6 +93,8 @@ def main():
          "--grid-out", str(GOLD / "temp_grid.csv")])
     cli(["pgap", "--input", preds, "--loss", "brier",
          "--out", str(GOLD / "pgap.json")])
+    cli(["pgap", "--input", preds, "--loss", "fcl", "--gamma", "3", "--lambda", "0.5",
+         "--out", str(GOLD / "pgap_fcl.json")])
     cli(["minimize", "--eta", "0.7,0.3", "--loss", "fcl", "--gamma", "3",
          "--lambda", "0.5", "--out", str(GOLD / "minimize.json")])
     cli(["curve", "--loss", "focal", "--gamma", "2", "--step", "0.05",

@@ -2,10 +2,12 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import focalcal.calibrate as calibrate
 from conftest import _binary_loss_at, naive_softmax, pgap_bruteforce
-from focalcal.calibrate import (PGAP_KKT_TOL, ConvergenceError, PGapResult,
+from focalcal.calibrate import (CONVEX_FAMILIES, PGAP_KKT_TOL, ConvergenceError, PGapResult,
                                 PostProcessMap, apply_temperature, pgap,
                                 temperature_grid, temperature_scan)
 from focalcal.data import PredictionSet, load_predictions
@@ -48,6 +50,17 @@ class TestApplyTemperature:
         base = ps.predicted()
         for t in (0.1, 1.0, 10.0):
             assert np.array_equal(apply_temperature(ps, t).predicted(), base)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 30), st.integers(2, 6), st.data(),
+           st.floats(0.1, 10.0, allow_nan=False))
+    def test_argmax_preserved_property(self, n, k, data, t):
+        # logits on a 0.25 grid: distinct logits stay distinct after scaling
+        # by 1/t, and exactly tied ones stay tied and go to the lower index
+        z = 0.25 * np.array(data.draw(st.lists(st.integers(-40, 40), min_size=n * k,
+                                               max_size=n * k))).reshape(n, k)
+        ps = logit_set(z, np.zeros(n, dtype=int))
+        assert np.array_equal(apply_temperature(ps, t).predicted(), z.argmax(axis=1))
 
     def test_invalid_temperature(self):
         ps = logit_set([[0.0, 0.0]], [0])
@@ -229,3 +242,110 @@ class TestPgap:
         out = res.to_json()
         assert set(out) == {"raw_risk", "optimized_risk", "pgap", "map"}
         assert set(out["map"]) == {"knots", "kappa"}
+
+
+def knot_slopes(spec, n1, n0):
+    """Per-knot (f', f'') arrays of the pgap objective, as pgap builds them."""
+    def slope_at(idx, x):
+        _, _, d1, d0, h1, h0 = calibrate._binary_loss_terms(spec, np.asarray(x, dtype=float))
+        return n1[idx] * d1 + n0[idx] * d0, n1[idx] * h1 + n0[idx] * h0
+    return slope_at
+
+
+def unit_minimizer(slope, x):
+    """One knot's minimizer over [0, 1] by scalar ``_root``: the oracle of the batch."""
+    g, h = slope(x)
+    if g > 0.0 and x > 0.0:
+        g0, h0 = slope(0.0)
+        return (0.0, h0) if g0 >= 0.0 else calibrate._root(slope, x, 0.0, x)
+    if g < 0.0 and x < 1.0:
+        g1, h1 = slope(1.0)
+        return (1.0, h1) if g1 <= 0.0 else calibrate._root(slope, x, x, 1.0)
+    return x, h
+
+
+@st.composite
+def knot_sets(draw):
+    """(spec, knots, n1, n0): bounds 0 and 1 as knots, and knots with one label only."""
+    family = draw(st.sampled_from(CONVEX_FAMILIES))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    knots = np.array(sorted(draw(st.sets(value, min_size=1, max_size=25))))
+    counts = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    n1, n0 = np.array(draw(st.lists(counts, min_size=knots.size, max_size=knots.size)),
+                       dtype=float).T
+    return LossSpec(family=family, gamma=gamma, lam=lam), knots, n1, n0
+
+
+class TestUnitMinimizers:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(knot_sets())
+    @example((LossSpec(family="ce"), np.array([0.0]), np.array([1.0]), np.array([0.0])))
+    @example((LossSpec(family="fcl", gamma=3.0, lam=0.5), np.array([1.0]), np.array([0.0]),
+              np.array([2.0])))
+    @example((LossSpec(family="focal", gamma=0.0), np.array([0.3]), np.array([1.0]),
+              np.array([1.0])))
+    def test_batch_matches_scalar_root_bit_for_bit(self, case):
+        spec, knots, n1, n0 = case
+        slope_at = knot_slopes(spec, n1, n0)
+        y, h = calibrate._unit_minimizers(slope_at, knots)
+        for j, x in enumerate(knots.tolist()):
+            knot = lambda v: tuple(float(a[0]) for a in slope_at([j], [v]))  # noqa: E731
+            assert np.array([y[j], h[j]]).tobytes() == np.array(unit_minimizer(knot, x)).tobytes()
+
+
+def seeded_pgap_set(seed, distinct=500):
+    """``distinct`` values p ~ U(0, 1) on two rows each, labels ~ Bernoulli(p^2)."""
+    rng = np.random.default_rng(seed)
+    p1 = np.repeat(rng.uniform(0.0, 1.0, distinct), 2)
+    return binary_set(p1, (rng.random(p1.size) < p1 ** 2).astype(int))
+
+
+def test_pgap_loss_evaluations(monkeypatch):
+    # every knot's own minimizer comes from one batched pass; a separate
+    # solve per knot would take 4,828 loss evaluations here
+    calls = []
+    terms = calibrate._binary_loss_terms
+    monkeypatch.setattr(calibrate, "_binary_loss_terms",
+                        lambda spec, kappa: calls.append(1) or terms(spec, kappa))
+    res = pgap(seeded_pgap_set(12), LossSpec(family="fcl", gamma=3.0, lam=0.5))
+    assert res.map.knots.size == 500
+    assert len(calls) == 3116
+
+
+@st.composite
+def pgap_cases(draw):
+    """(prediction set, convex loss spec) with ties, bounds and one-label sets."""
+    n = draw(st.integers(1, 30))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    p1 = draw(st.lists(value, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    spec = LossSpec(family=draw(st.sampled_from(CONVEX_FAMILIES)),
+                    gamma=draw(st.floats(0.0, 4.0)), lam=draw(st.floats(0.0, 2.0)))
+    return binary_set(p1, labels), spec
+
+
+class TestPgapProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pgap_cases())
+    def test_nonnegative(self, case):
+        ps, spec = case
+        assert pgap(ps, spec).pgap >= 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pgap_cases(), st.data())
+    def test_no_feasible_map_has_lower_risk(self, case, data):
+        ps, spec = case
+        res = pgap(ps, spec)
+        knots = res.map.knots
+        # a random feasible remap: kappa'_0 in [0, 1], steps in [0, w], capped at 1
+        unit = st.floats(0.0, 1.0)
+        first = data.draw(unit)
+        steps = np.array(data.draw(st.lists(unit, min_size=knots.size - 1,
+                                            max_size=knots.size - 1))) * 2.0 * np.diff(knots)
+        kappa = np.minimum(first + np.concatenate([[0.0], np.cumsum(steps)]), 1.0)
+        at = kappa[np.searchsorted(knots, ps.probs[:, 1])]
+        risk = sum(float(_binary_loss_at(spec, at[i], int(y)))
+                   for i, y in enumerate(ps.labels)) / ps.n
+        assert res.optimized_risk <= risk + 1e-12

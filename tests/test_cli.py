@@ -186,6 +186,8 @@ FILE_CASES = [
     ("reliability.csv", ["reliability", "--input", PREDS, "--bins", "5"]),
     ("smce.json", ["smce", "--input", PREDS]),
     ("pgap.json", ["pgap", "--input", PREDS, "--loss", "brier"]),
+    ("pgap_fcl.json", ["pgap", "--input", PREDS, "--loss", "fcl", "--gamma", "3",
+                       "--lambda", "0.5"]),
     ("minimize.json", ["minimize", "--eta", "0.7,0.3", "--loss", "fcl",
                        "--gamma", "3", "--lambda", "0.5"]),
     ("curve.csv", ["curve", "--loss", "focal", "--gamma", "2", "--step", "0.05"]),

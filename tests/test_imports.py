@@ -1,9 +1,12 @@
-"""Every module-level import in the package is used, and no import names scipy.
+"""Every module-level import in the package is used, every private top-level
+function or class is referenced, and no import names scipy.
 
 A name bound by a top-level ``import`` or ``from ... import`` counts as used
-if it is read anywhere in the module or listed in its ``__all__``. The scipy
-check covers every import statement, function-local ones included. Importing
-the CLI loads neither scipy nor ``numpy.random``.
+if it is read anywhere in the module or listed in its ``__all__``. A private
+top-level definition counts as referenced if its name is read, taken as an
+attribute or imported anywhere in the package outside its own body. The
+scipy check covers every import statement, function-local ones included.
+Importing the CLI loads neither scipy nor ``numpy.random``.
 """
 
 import ast
@@ -43,6 +46,39 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """``module: name`` of each private top-level function or class that nothing else names."""
+    defs, uses = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = getattr(node, "name", None)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and owner.startswith("_") and not owner.startswith("__")):
+                defs.append((module, owner))
+            names = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+                elif isinstance(n, ast.ImportFrom):
+                    names |= {alias.name for alias in n.names}
+            uses.append((module, owner, names))
+    return [f"{module}: {name}" for module, name in defs
+            if not any(name in names and (m, owner) != (module, name) for m, owner, names in uses)]
+
+
+def test_checker_flags_an_unreferenced_private_def():
+    sources = {"a.py": "def _used():\n    pass\ndef _dead():\n    return _dead()\n"
+                       "class _Kept:\n    pass\ndef __getattr__(name):\n    pass\n",
+               "b.py": "from a import _used\nimport a\nx = a._Kept()\n"}
+    assert unreferenced_private_defs(sources) == ["a.py: _dead"]
+
+
+def test_no_unreferenced_private_defs():
+    assert unreferenced_private_defs({p.name: p.read_text() for p in SOURCES}) == []
 
 
 def scipy_imports(source: str) -> list[str]:
