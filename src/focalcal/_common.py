@@ -161,3 +161,60 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     nz = p > 0.0
     return float(np.sum(p[nz] * (np.log(p[nz]) - np.log(np.maximum(q[nz], LOG_EPS)))))
+
+
+def newton_root(f, lo, hi, x0):
+    """Zero of each element of a nondecreasing ``f`` inside its bracket [lo, hi].
+
+    ``f(x)`` returns (value, slope) arrays. The start is clipped into the
+    bracket. An element takes the Newton step where the slope is finite and
+    > 0 and the step lands strictly inside its bracket, and bisects
+    otherwise. It stops when its value is exactly 0, its raw Newton step is
+    within 4 ulp, or its bracket has collapsed (an element whose bracket
+    starts collapsed stays at ``lo``), or after 200 passes. Returns the
+    roots, the slopes there and the number of passes. ``newton_root_scalar``
+    is the same rule on one float.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x = np.clip(x0, lo, hi)
+    active = lo < hi
+    for it in range(1, 201):
+        v, s = f(x)
+        # a stopped element never moves again, so its bracket may shrink freely
+        lo, hi = np.where(v < 0.0, x, lo), np.where(v > 0.0, x, hi)
+        ok = (s > 0.0) & (s < np.inf)
+        step = -v / np.where(ok, s, np.inf)
+        xn = x + step
+        done = ((v == 0.0) | (ok & (np.abs(step) <= 4.0 * np.spacing(np.abs(x))))
+                | (hi <= np.nextafter(lo, np.inf)))
+        move = active & ~done
+        x = np.where(move, np.where(ok & (xn > lo) & (xn < hi), xn, 0.5 * (lo + hi)), x)
+        active = move
+        if not active.any():
+            break
+    # a stopped element stays put, so the last slopes belong to the roots
+    return x, s, it
+
+
+def newton_root_scalar(f, lo: float, hi: float, x0: float):
+    """``newton_root`` on one float, with its bits: returns (root, slope there)."""
+    # on a tie np.clip returns the bound, so a -0.0 start at 0.0 becomes 0.0
+    x = min(hi, max(lo, x0))
+    for _ in range(200):
+        v, s = f(x)
+        if v < 0.0:
+            lo = x
+        elif v > 0.0:
+            hi = x
+        if v == 0.0 or hi <= math.nextafter(lo, math.inf):
+            break
+        if 0.0 < s < math.inf:
+            step = -v / s
+            # math.ulp(x) is np.spacing(|x|)
+            if abs(step) <= 4.0 * math.ulp(x):
+                break
+            if lo < x + step < hi:
+                x = x + step
+                continue
+        x = 0.5 * (lo + hi)
+    return x, s

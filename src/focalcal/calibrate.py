@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import ConvergenceError, softmax
+from ._common import ConvergenceError, newton_root, newton_root_scalar, softmax
 from .data import PredictionSet
 from .losses import LossSpec, focal_phi
 from .metrics import BinningConfig, ece
@@ -161,44 +161,13 @@ def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray):
     return l1, l0, d1, d0, h1, h0
 
 
-def _root(slope, x: float, lo: float, hi: float, maxiter: int = 200):
-    """Sign change of a nondecreasing ``slope`` in [lo, hi], starting at x.
-
-    ``slope(x)`` returns (value, derivative); the value is taken to be
-    negative at lo and positive at hi. Newton steps are taken while they stay
-    inside the bracket and at least halve the step before; otherwise the
-    bracket is bisected. Returns (x, derivative at x) once a step would move
-    x by at most two ulps, or the bracket holds no float between its ends.
-    """
-    step_old = hi - lo
-    for _ in range(maxiter):
-        g, h = slope(x)
-        if g < 0.0:
-            lo = x
-        elif g > 0.0:
-            hi = x
-        else:
-            break
-        step = g / h if h > 0.0 else math.inf
-        if abs(step) <= 2.0 * math.ulp(x):
-            break
-        if not lo < x - step < hi or abs(2.0 * step) > abs(step_old):
-            step = x - 0.5 * (lo + hi)
-            if not lo < x - step < hi:
-                break
-        step_old = step
-        x = x - step
-    return x, h
-
-
 def _unit_minimizers(slope_at, x: np.ndarray):
     """Each knot's own minimizer over [0, 1], and the curvature there, in one pass.
 
     ``slope_at(idx, x)`` returns per-knot (f_i'(x_i), f_i''(x_i)) arrays for
-    knots ``idx``, each f_i convex; ``x`` holds a first guess per knot. Row
-    by row this takes the steps of ``_root`` on a single knot: the bounds 0
-    and 1 are tested first, then the rows whose sign change lies inside are
-    iterated together until each stops.
+    knots ``idx``, each f_i convex; ``x`` holds a first guess per knot. The
+    bounds 0 and 1 are tested first; the rows whose sign change lies between
+    the guess and a bound are solved together by ``newton_root``.
     """
     rows = np.arange(x.size)
     g, h = slope_at(rows, x)
@@ -212,26 +181,10 @@ def _unit_minimizers(slope_at, x: np.ndarray):
     y[ends[pinned]], h[ends[pinned]] = bound[pinned], h_end[pinned]
     # otherwise the sign change lies between x and that bound
     live = ends[~pinned]
-    lo, hi = np.where(up, x, 0.0), np.where(up, 1.0, x)
-    step_old = hi - lo
-    for _ in range(200):  # _root's maxiter
-        if not live.size:
-            break
-        at = y[live]
-        g, hl = slope_at(live, at)
-        h[live] = hl
-        l = lo[live] = np.where(g < 0.0, at, lo[live])
-        u = hi[live] = np.where(g > 0.0, at, hi[live])
-        step = np.divide(g, hl, out=np.full_like(g, math.inf), where=hl > 0.0)
-        # np.spacing(|x|) is math.ulp(x)
-        stop = ~((g < 0.0) | (g > 0.0)) | (np.abs(step) <= 2.0 * np.spacing(np.abs(at)))
-        inside = lambda step: (l < at - step) & (at - step < u)  # noqa: E731
-        bisect = ~inside(step) | (np.abs(2.0 * step) > np.abs(step_old[live]))
-        step = np.where(bisect, at - 0.5 * (l + u), step)
-        stop |= bisect & ~inside(step)
-        step_old[live] = step
-        y[live[~stop]] = (at - step)[~stop]
-        live = live[~stop]
+    if live.size:
+        at, ahead = x[live], up[live]
+        y[live], h[live], _ = newton_root(functools.partial(slope_at, live),
+                                          np.where(ahead, at, 0.0), np.where(ahead, 1.0, at), at)
     return y, h
 
 
@@ -252,9 +205,10 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
     back to the first slack one. Those chains are the blocks of the active
     set; they merge and split as x moves. If the link to y_{j-1} is slack at
     r_j then y_j = r_j, otherwise knot j joins the block ending at j-1 and
-    y_j lies between r_j and the end of that link: ``_root`` finds it,
-    starting from the merged block's linearization, with the block's terms
-    summed by ``math.fsum`` so the bits do not depend on their order.
+    y_j lies between r_j and the end of that link: ``newton_root_scalar``
+    finds it, starting from the merged block's linearization, with the
+    block's terms summed by ``math.fsum`` so the bits do not depend on their
+    order.
     Backtracking from y_{m-1} through the clips then gives the minimizer.
     """
     ws = w.tolist()
@@ -294,8 +248,8 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
         if search:
             # first guess: knot j merged into the block ending at j-1
             g, h = slope([j], [edge])
-            y, h = _root(functools.partial(level, j),
-                         min(max(edge - g / (h + hs[-1]), lo), hi), lo, hi)
+            y, h = newton_root_scalar(functools.partial(level, j), lo, hi,
+                                      edge - g / (h + hs[-1]))
         ys.append(y)
         hs.append(h)
 

@@ -77,14 +77,11 @@ def _load(args) -> PredictionSet:
     return load_predictions(args.input, format=args.format, input_kind=args.input_kind)
 
 
-def _add_input_flags(p, with_format=True):
+def _add_input_flags(p):
     p.add_argument("--input", required=True, help="prediction log path")
-    if with_format:
-        p.add_argument("--format", default="rows-json", choices=["rows-json", "rows-csv"])
-        p.add_argument("--input-kind", dest="input_kind", default="probs",
-                       choices=["probs", "logits"])
-    else:
-        p.set_defaults(format="rows-json", input_kind="probs")
+    p.add_argument("--format", default="rows-json", choices=["rows-json", "rows-csv"])
+    p.add_argument("--input-kind", dest="input_kind", default="probs",
+                   choices=["probs", "logits"])
 
 
 def _add_loss_flags(p, default_family="fcl"):

@@ -130,26 +130,37 @@ def load_predictions(path, format: str = "rows-json", input_kind: str = "probs")
         probs = probs / probs.sum(axis=1, keepdims=True)
     else:
         logits = None
-        probs = np.empty_like(values)
-        for i, row in enumerate(values):
-            try:
-                probs[i] = as_simplex(row, mass_tol=1e-6)
-            except ValueError as exc:
-                raise DataFormatError(f"row {i + 1}: {exc}") from exc
-    eta = None
-    if any(e is not None for e in etas):
-        if not all(e is not None for e in etas):
-            raise DataFormatError("eta present on some rows but not all")
-        eta = np.array([as_simplex(e, mass_tol=1e-6) for e in etas])
+        probs = _simplex_rows(values, "")
+    eta = None if etas[0] is None else _simplex_rows(etas, "eta: ")
     try:
         return PredictionSet(probs=probs, labels=np.asarray(labels), logits=logits, eta=eta)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
 
 
+def _simplex_rows(rows, prefix: str) -> np.ndarray:
+    """(N, K) array of the rows, each checked and renormalized by ``as_simplex``."""
+    out = np.empty((len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        try:
+            out[i] = as_simplex(row, mass_tol=1e-6)
+        except ValueError as exc:
+            raise DataFormatError(f"row {i + 1}: {prefix}{exc}") from exc
+    return out
+
+
 def _is_int(v) -> bool:
     # JSON true/false parse to bool, which Python counts as an int
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _numeric_array(vec, key: str, lineno: int, k) -> list:
+    """``vec`` if it is a JSON array of numbers with k entries (any count if k is None)."""
+    if not isinstance(vec, list) or not all(_is_int(v) or isinstance(v, float) for v in vec):
+        raise DataFormatError(f"row {lineno}: {key!r} must be a numeric array")
+    if k is not None and len(vec) != k:
+        raise DataFormatError(f"row {lineno}: inconsistent K in {key!r} ({len(vec)} vs {k})")
+    return vec
 
 
 def _read_rows_json(path, input_kind):
@@ -169,16 +180,14 @@ def _read_rows_json(path, input_kind):
                 raise DataFormatError(f"row {lineno}: missing {key!r}")
             if not _is_int(obj.get("label")):
                 raise DataFormatError(f"row {lineno}: missing or non-integer label")
-            vec = obj[key]
-            if not isinstance(vec, list) or not all(_is_int(v) or isinstance(v, float) for v in vec):
-                raise DataFormatError(f"row {lineno}: {key!r} must be a numeric array")
-            if k is None:
-                k = len(vec)
-            elif len(vec) != k:
-                raise DataFormatError(f"row {lineno}: inconsistent K ({len(vec)} vs {k})")
+            vec = _numeric_array(obj[key], key, lineno, k)
+            k = len(vec)
+            eta = obj.get("eta")
+            if etas and (eta is None) != (etas[0] is None):
+                raise DataFormatError(f"row {lineno}: eta present on some rows but not all")
             raw.append(vec)
             labels.append(obj["label"])
-            etas.append(obj.get("eta"))
+            etas.append(None if eta is None else _numeric_array(eta, "eta", lineno, k))
     if not raw:
         raise DataFormatError("empty prediction log")
     return raw, labels, etas

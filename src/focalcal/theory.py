@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import ConvergenceError, as_simplex
+from ._common import ConvergenceError, as_simplex, newton_root
 from .losses import LossSpec, batch_values, focal_phi
 
 Q_LO = 1e-12
@@ -107,37 +107,6 @@ def _kkt_residual(spec: LossSpec, q: np.ndarray, eta: np.ndarray) -> float:
     return max(0.0, float(np.max(viol)))
 
 
-def _newton_root(f, lo, hi, x0):
-    """Zero of each element of a nondecreasing ``f`` inside its bracket [lo, hi].
-
-    ``f(x)`` returns (value, slope). An element takes the Newton step where
-    the slope is finite and > 0 and the step lands strictly inside its
-    bracket, and bisects otherwise. It stops when its value is exactly 0,
-    its raw Newton step is within 4 ulp, or its bracket has collapsed (an
-    element whose bracket starts collapsed stays at ``lo``), or after 200
-    passes. Returns the roots, the slopes there and the number of passes.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    x = np.clip(x0, lo, hi)
-    active = lo < hi
-    for it in range(1, 201):
-        v, s = f(x)
-        # a stopped element never moves again, so its bracket may shrink freely
-        lo, hi = np.where(v < 0.0, x, lo), np.where(v > 0.0, x, hi)
-        ok = (s > 0.0) & (s < np.inf)
-        step = -v / np.where(ok, s, np.inf)
-        xn = x + step
-        done = ((v == 0.0) | (ok & (np.abs(step) <= 4.0 * np.spacing(np.abs(x))))
-                | (hi <= np.nextafter(lo, np.inf)))
-        move = active & ~done
-        x = np.where(move, np.where(ok & (xn > lo) & (xn < hi), xn, 0.5 * (lo + hi)), x)
-        active = move
-        if not active.any():
-            break
-    # a stopped element stays put, so the last slopes belong to the roots
-    return x, s, it
-
-
 def _minimize_simplex(spec: LossSpec, eta: np.ndarray):
     """K >= 3: solve 1 - sum_i q_i(mu) = 0, whose slope is sum 1/f_i'' over free q_i.
 
@@ -158,8 +127,8 @@ def _minimize_simplex(spec: LossSpec, eta: np.ndarray):
 
         at_lo = ends[0] + mu >= 0.0
         at_hi = ~at_lo & (ends[1] + mu <= 0.0)
-        q, hess, _ = _newton_root(shifted, np.where(at_hi, top, Q_LO),
-                                  np.where(at_lo, Q_LO, top), q)
+        q, hess, _ = newton_root(shifted, np.where(at_hi, top, Q_LO),
+                                 np.where(at_lo, Q_LO, top), q)
         free = (q > Q_LO) & (q < top) & (hess > 0.0)
         return 1.0 - np.sum(q), np.sum(1.0 / np.where(free, hess, np.inf))
 
@@ -167,7 +136,7 @@ def _minimize_simplex(spec: LossSpec, eta: np.ndarray):
     mu_lo, mu_hi = float(np.min(-grad)), float(np.max(-grad))
     inv = 1.0 / np.where(hess > 0.0, hess, np.inf)
     mu0 = -np.sum(grad * inv) / np.sum(inv) if np.sum(inv) > 0.0 else 0.5 * (mu_lo + mu_hi)
-    _, _, iterations = _newton_root(excess, mu_lo, mu_hi, mu0)
+    _, _, iterations = newton_root(excess, mu_lo, mu_hi, mu0)
     return q, iterations
 
 

@@ -106,13 +106,7 @@ def _activate(z, kind):
 
 def forward(model: ModelState, xs: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs."""
-    h = np.asarray(xs, dtype=float)
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
-        if i < last:
-            h = _activate(h, model.config.activation)
-    return h
+    return _forward_cached(model, xs)[1][-1]
 
 
 def predictions(model: ModelState, xs: np.ndarray, ys: np.ndarray) -> PredictionSet:
@@ -171,11 +165,9 @@ def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
     test_targets = np.eye(k)[yt]
 
     model = init_model(cfg)
-    # Adam state
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    # Adam's first and second moments, one pair per parameter array
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     history = TrainHistory()
@@ -184,22 +176,13 @@ def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
         train_loss, gw, gb = loss_and_grads(model, spec, xs, targets)
         if not np.isfinite(train_loss):
             raise FloatingPointError(f"training diverged at epoch {epoch}")
-        if cfg.optimizer == "adam":
-            for i in range(len(model.weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                mhat_w = m_w[i] / (1 - beta1 ** epoch)
-                vhat_w = v_w[i] / (1 - beta2 ** epoch)
-                mhat_b = m_b[i] / (1 - beta1 ** epoch)
-                vhat_b = v_b[i] / (1 - beta2 ** epoch)
-                model.weights[i] -= cfg.lr * mhat_w / (np.sqrt(vhat_w) + eps)
-                model.biases[i] -= cfg.lr * mhat_b / (np.sqrt(vhat_b) + eps)
-        else:
-            for i in range(len(model.weights)):
-                model.weights[i] -= cfg.lr * gw[i]
-                model.biases[i] -= cfg.lr * gb[i]
+        for p, g, (m, v) in zip(params, gw + gb, moments):
+            if cfg.optimizer == "adam":
+                m[:] = beta1 * m + (1 - beta1) * g
+                v[:] = beta2 * v + (1 - beta2) * g ** 2
+                p -= cfg.lr * (m / (1 - beta1 ** epoch)) / (np.sqrt(v / (1 - beta2 ** epoch)) + eps)
+            else:
+                p -= cfg.lr * g
 
         test_set = predictions(model, xt, yt)
         scores = score_metrics(test_set)

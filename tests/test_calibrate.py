@@ -1,3 +1,4 @@
+import functools
 import pathlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import focalcal.calibrate as calibrate
 from conftest import _binary_loss_at, naive_softmax, pgap_bruteforce
+from focalcal._common import newton_root, newton_root_scalar
 from focalcal.calibrate import (CONVEX_FAMILIES, PGAP_KKT_TOL, ConvergenceError, PGapResult,
                                 PostProcessMap, apply_temperature, pgap,
                                 temperature_grid, temperature_scan)
@@ -253,15 +255,20 @@ def knot_slopes(spec, n1, n0):
 
 
 def unit_minimizer(slope, x):
-    """One knot's minimizer over [0, 1] by scalar ``_root``: the oracle of the batch."""
+    """One knot's minimizer over [0, 1] by the scalar rule: the oracle of the batch."""
     g, h = slope(x)
     if g > 0.0 and x > 0.0:
         g0, h0 = slope(0.0)
-        return (0.0, h0) if g0 >= 0.0 else calibrate._root(slope, x, 0.0, x)
+        return (0.0, h0) if g0 >= 0.0 else newton_root_scalar(slope, 0.0, x, x)
     if g < 0.0 and x < 1.0:
         g1, h1 = slope(1.0)
-        return (1.0, h1) if g1 <= 0.0 else calibrate._root(slope, x, x, 1.0)
+        return (1.0, h1) if g1 <= 0.0 else newton_root_scalar(slope, x, 1.0, x)
     return x, h
+
+
+def one_knot(slope_at, j):
+    """Knot j's (f', f'') as floats, for the scalar rule."""
+    return lambda v: tuple(float(a[0]) for a in slope_at([j], [v]))
 
 
 @st.composite
@@ -278,6 +285,20 @@ def knot_sets(draw):
     return LossSpec(family=family, gamma=gamma, lam=lam), knots, n1, n0
 
 
+@st.composite
+def bracket_sets(draw):
+    """A knot set with a bracket and a start per knot: some brackets start
+    collapsed (lo == hi) and some starts lie outside, as theory's inner level
+    hands them over."""
+    spec, knots, n1, n0 = draw(knot_sets())
+    m = knots.size
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    lo, hi = np.sort(draw(st.lists(st.tuples(unit, unit), min_size=m, max_size=m)), axis=1).T
+    hi = np.where(draw(st.lists(st.booleans(), min_size=m, max_size=m)), lo, hi)
+    x0 = np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=m, max_size=m)))
+    return spec, knots, n1, n0, lo, hi, x0
+
+
 class TestUnitMinimizers:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(knot_sets())
@@ -291,8 +312,21 @@ class TestUnitMinimizers:
         slope_at = knot_slopes(spec, n1, n0)
         y, h = calibrate._unit_minimizers(slope_at, knots)
         for j, x in enumerate(knots.tolist()):
-            knot = lambda v: tuple(float(a[0]) for a in slope_at([j], [v]))  # noqa: E731
-            assert np.array([y[j], h[j]]).tobytes() == np.array(unit_minimizer(knot, x)).tobytes()
+            assert (np.array([y[j], h[j]]).tobytes()
+                    == np.array(unit_minimizer(one_knot(slope_at, j), x)).tobytes())
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(bracket_sets())
+    @example((LossSpec(family="fcl", gamma=3.0, lam=0.5), np.array([0.2, 0.7]),
+              np.array([1.0, 2.0]), np.array([1.0, 0.0]),
+              np.array([0.4, 0.1]), np.array([0.4, 0.9]), np.array([0.9, -0.5])))
+    def test_vector_rule_matches_scalar_rule_bit_for_bit(self, case):
+        spec, knots, n1, n0, lo, hi, x0 = case
+        slope_at = knot_slopes(spec, n1, n0)
+        x, s, _ = newton_root(functools.partial(slope_at, np.arange(knots.size)), lo, hi, x0)
+        for j in range(knots.size):
+            scalar = newton_root_scalar(one_knot(slope_at, j), lo[j], hi[j], x0[j])
+            assert np.array([x[j], s[j]]).tobytes() == np.array(scalar).tobytes()
 
 
 def seeded_pgap_set(seed, distinct=500):
@@ -311,7 +345,7 @@ def test_pgap_loss_evaluations(monkeypatch):
                         lambda spec, kappa: calls.append(1) or terms(spec, kappa))
     res = pgap(seeded_pgap_set(12), LossSpec(family="fcl", gamma=3.0, lam=0.5))
     assert res.map.knots.size == 500
-    assert len(calls) == 3116
+    assert len(calls) == 2990
 
 
 @st.composite

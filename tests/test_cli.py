@@ -99,6 +99,18 @@ class TestExitCodes:
                        '{"probs": [0.7, 0.3], "label": 0}\n')
         self.assert_rejected(["metrics", "--input", str(bad)])
 
+    @pytest.mark.parametrize("eta", ['"eta": [true, false]', '"eta": [0.2, 0.3, 0.5]',
+                                     '"eta": [0.7, 0.4]', '"eta": 0.5', '"eta": [0.5, null]',
+                                     '"eta": [0.5, NaN]', '"eta": [1.5, -0.5]', '"x": 0'],
+                             ids=["boolean", "ragged", "mass", "scalar", "null entry",
+                                  "nan", "negative", "missing"])
+    def test_bad_eta(self, tmp_path, eta):
+        bad = tmp_path / "eta.jsonl"
+        bad.write_text('{"probs": [0.4, 0.6], "label": 1, "eta": [0.5, 0.5]}\n'
+                       f'{{"probs": [0.7, 0.3], "label": 0, {eta}}}\n')
+        rc, _, err = run_capture(["metrics", "--input", str(bad)])
+        assert rc == 1 and err.startswith("error: row 2: ") and "Traceback" not in err
+
     def test_nan_auroc_score(self, tmp_path):
         pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
         pos.write_text("0.9\nnan\n")

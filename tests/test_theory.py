@@ -3,6 +3,7 @@ import pytest
 
 from conftest import definition_risk, simplex_minimizer_slsqp
 from focalcal import theory
+from focalcal._common import newton_root, newton_root_scalar
 from focalcal.calibrate import ConvergenceError
 from focalcal.losses import LossSpec, eval_loss
 from focalcal.theory import (KKT_TOL, MinimizerResult, SigmaSpec, _kkt_residual, _risk_terms,
@@ -169,6 +170,27 @@ class TestSimplexMinimizer:
                 (ce, eta, [1e-12, 0.375, 0.625]),            # held at the lower bound
                 (brier, [0.25, 0.25, 0.5], [4e-10, 4e-10, 1.0 - 8e-10])]:  # at the upper end
             assert _kkt_residual(spec, np.array(q), np.array(e)) > 0.1
+
+    def test_inner_level_follows_the_scalar_rule(self, monkeypatch):
+        # each row of the inner level, collapsed brackets and starts outside
+        # the bracket included, takes the scalar rule's steps bit for bit
+        seen = set()
+
+        def checked(f, lo, hi, x0):
+            x, s, it = newton_root(f, lo, hi, x0)
+            if np.ndim(lo):  # the inner level; the outer one solves for mu
+                for i in range(x.size):
+                    row = lambda v: tuple(float(a[i]) for a in f(np.full(x.size, v)))  # noqa: E731
+                    scalar = newton_root_scalar(row, float(lo[i]), float(hi[i]), float(x0[i]))
+                    assert np.array([x[i], s[i]]).tobytes() == np.array(scalar).tobytes()
+                    seen.add((lo[i] == hi[i], lo[i] <= x0[i] <= hi[i]))
+            return x, s, it
+
+        monkeypatch.setattr(theory, "newton_root", checked)
+        for spec in SIMPLEX_SPECS:
+            for eta in simplex_etas()[::3]:
+                minimize_risk(spec, eta)
+        assert (True, False) in seen and (False, True) in seen
 
     def test_equal_eta_entries_give_equal_q(self):
         res = minimize_risk(LossSpec(family="fcl", gamma=5.0, lam=0.5), [0.1, 0.1, 0.8])
