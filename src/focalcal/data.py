@@ -108,16 +108,17 @@ def load_predictions(path, format: str = "rows-json", input_kind: str = "probs")
 
     Logits are converted through softmax; probabilities are validated to sum
     to 1 within 1e-6 and renormalized. Row order is preserved. Malformed rows
-    raise :class:`DataFormatError` with a 1-based row number.
+    raise :class:`DataFormatError` naming the row by its 1-based line number
+    in the file, blank lines included.
     """
     if format not in ("rows-json", "rows-csv"):
         raise ValueError(f"unknown format {format!r}")
     if input_kind not in ("probs", "logits"):
         raise ValueError(f"unknown input_kind {input_kind!r}")
     if format == "rows-json":
-        raw, labels, etas = _read_rows_json(path, input_kind)
+        raw, labels, etas, linenos = _read_rows_json(path, input_kind)
     else:
-        raw, labels, etas = _read_rows_csv(path, input_kind)
+        raw, labels, etas, linenos = _read_rows_csv(path, input_kind)
 
     values = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -130,22 +131,25 @@ def load_predictions(path, format: str = "rows-json", input_kind: str = "probs")
         probs = probs / probs.sum(axis=1, keepdims=True)
     else:
         logits = None
-        probs = _simplex_rows(values, "")
-    eta = None if etas[0] is None else _simplex_rows(etas, "eta: ")
+        probs = _simplex_rows(values, "", linenos)
+    eta = None if etas[0] is None else _simplex_rows(etas, "eta: ", linenos)
     try:
         return PredictionSet(probs=probs, labels=np.asarray(labels), logits=logits, eta=eta)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
 
 
-def _simplex_rows(rows, prefix: str) -> np.ndarray:
-    """(N, K) array of the rows, each checked and renormalized by ``as_simplex``."""
+def _simplex_rows(rows, prefix: str, linenos: list) -> np.ndarray:
+    """(N, K) array of the rows, each checked and renormalized by ``as_simplex``.
+
+    An error names the row by its line number in the file, as the readers do.
+    """
     out = np.empty((len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
+    for i, (row, lineno) in enumerate(zip(rows, linenos)):
         try:
             out[i] = as_simplex(row, mass_tol=1e-6)
         except ValueError as exc:
-            raise DataFormatError(f"row {i + 1}: {prefix}{exc}") from exc
+            raise DataFormatError(f"row {lineno}: {prefix}{exc}") from exc
     return out
 
 
@@ -165,7 +169,7 @@ def _numeric_array(vec, key: str, lineno: int, k) -> list:
 
 def _read_rows_json(path, input_kind):
     key = "probs" if input_kind == "probs" else "logits"
-    raw, labels, etas = [], [], []
+    raw, labels, etas, linenos = [], [], [], []
     k = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -188,14 +192,15 @@ def _read_rows_json(path, input_kind):
             raw.append(vec)
             labels.append(obj["label"])
             etas.append(None if eta is None else _numeric_array(eta, "eta", lineno, k))
+            linenos.append(lineno)
     if not raw:
         raise DataFormatError("empty prediction log")
-    return raw, labels, etas
+    return raw, labels, etas, linenos
 
 
 def _read_rows_csv(path, input_kind):
     prefix = "p_" if input_kind == "probs" else "z_"
-    raw, labels = [], []
+    raw, labels, linenos = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -219,9 +224,10 @@ def _read_rows_csv(path, input_kind):
                 labels.append(int(row[-1]))
             except ValueError as exc:
                 raise DataFormatError(f"row {lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not raw:
         raise DataFormatError("empty prediction log")
-    return raw, labels, [None] * len(raw)
+    return raw, labels, [None] * len(raw), linenos
 
 
 def gen_moons(cfg: SyntheticConfig) -> list[LabeledPoint]:

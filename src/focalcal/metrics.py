@@ -13,6 +13,7 @@ chain, solved exactly by a slope-trick dynamic program (Hu, Jambulapati, Tian
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -113,63 +114,112 @@ class MetricReport:
         return out
 
 
-def _bins(values: np.ndarray, cfg: BinningConfig) -> list[np.ndarray]:
-    """Row indices of each of the ``cfg.bins`` bins of ``values``, in row order.
+def _segment_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive run of ``x``, the runs ``counts`` long.
 
-    Equal width: a stable sort by bin index. Equal mass: contiguous runs of
-    the stable sort by value, the first n mod M of them one longer. Members
-    keep their relative order, so sums over a bin run in a fixed order.
+    Each sum has the bits of ``np.sum`` over its run alone. A run whose
+    length no other run shares is summed as a slice. The runs of a shared
+    length are gathered into the rows of a 2-D array and summed along the
+    last axis, which adds each row in numpy's pairwise order, as for the
+    slice. (``np.add.reduceat`` adds each run in another order and gives
+    other bits.)
     """
+    ends = np.cumsum(counts)
+    by_length = np.argsort(counts, kind="stable")
+    lengths = counts[by_length].tolist()
+    sums = np.zeros(counts.size)
+    a = bisect.bisect_right(lengths, 0)
+    while a < len(lengths):
+        length = lengths[a]
+        b = bisect.bisect_right(lengths, length, a)
+        runs = by_length[a:b]
+        if b - a == 1:
+            end = int(ends[runs[0]])
+            sums[runs] = np.add.reduce(x[end - length:end])
+        else:
+            sums[runs] = np.add.reduce(x[(ends[runs] - length)[:, None] + np.arange(length)],
+                                       axis=1)
+        a = b
+    return sums
+
+
+def _bin_stats(values: np.ndarray, hits: np.ndarray, cfg: BinningConfig):
+    """Bin each row of the (E, n) stack ``values``; the one binned-statistics kernel.
+
+    Returns (E, M) arrays of bin counts, the mean of ``hits`` and the mean
+    of ``values`` in each bin (nan in an empty one). Equal width: a stable
+    sort by bin index. Equal mass: contiguous runs of the stable sort by
+    value, the first n mod M of them one longer. Members keep that order,
+    so each mean has the bits of ``np.mean`` over ``values[rows]``.
+    """
+    e, n = values.shape
     m = cfg.bins
     if cfg.scheme == "equal_width":
-        idx = np.searchsorted(np.arange(1, m) / m, values, side="left")
-        order = np.argsort(idx, kind="stable")
-        bounds = np.searchsorted(idx[order], np.arange(m + 1), side="left")
+        key = np.searchsorted(np.arange(1, m) / m, values, side="left") + m * np.arange(e)[:, None]
+        order = np.argsort(key, axis=None, kind="stable")
+        counts = np.bincount(key.ravel(), minlength=e * m)
     else:
-        order = np.argsort(values, kind="stable")
-        base, rem = divmod(values.size, m)
-        bounds = np.concatenate([[0], np.cumsum(base + (np.arange(m) < rem))])
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        order = (np.argsort(values, axis=1, kind="stable") + n * np.arange(e)[:, None]).ravel()
+        base, rem = divmod(n, m)
+        counts = np.tile(base + (np.arange(m) < rem), e)
+    # the count of hits is an exact integer whatever the order of the adds
+    hit_sums = np.bincount(np.repeat(np.arange(e * m), counts),
+                           weights=hits.ravel()[order], minlength=e * m)
+    sums = _segment_sums(values.ravel()[order], counts)
+    with np.errstate(invalid="ignore"):
+        hit_means, means = hit_sums / counts, sums / counts
+    return counts.reshape(e, m), hit_means.reshape(e, m), means.reshape(e, m)
+
+
+def _gap_terms(counts, hit_means, means, denom) -> np.ndarray:
+    """count / denom * |hit mean - mean| per bin, and 0 in an empty bin."""
+    return np.where(counts > 0, counts / denom * np.abs(hit_means - means), 0.0)
+
+
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum of each row of ``terms``, added one column after another."""
+    # cumsum adds sequentially, as a Python loop over the bins does; np.sum
+    # would add pairwise
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _top_class_bins(probs: np.ndarray, labels: np.ndarray, cfg: BinningConfig):
+    """``_bin_stats`` of the top-class confidence of each (n, K) slice of ``probs``."""
+    return _bin_stats(probs.max(axis=-1), probs.argmax(axis=-1) == labels, cfg)
 
 
 def bin_predictions(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> list[BinSummary]:
     """Group samples by top-class confidence into M bins."""
-    conf = pset.confidences()
-    correct = (pset.predicted() == pset.labels).astype(float)
+    counts, acc, conf = (a[0].tolist()
+                         for a in _top_class_bins(pset.probs[None], pset.labels, cfg))
     m = cfg.bins
-    nan = float("nan")
-    out = []
-    for b, rows in enumerate(_bins(conf, cfg)):
-        if cfg.scheme == "equal_width":
-            lo, hi = b / m, (b + 1) / m
-        else:
-            lo, hi = (float(conf[rows[0]]), float(conf[rows[-1]])) if rows.size else (nan, nan)
-        acc, mean_conf = ((float(correct[rows].mean()), float(conf[rows].mean()))
-                          if rows.size else (nan, nan))
-        out.append(BinSummary(lo, hi, rows.size, acc, mean_conf))
-    return out
+    if cfg.scheme == "equal_width":
+        edges = [(b / m, (b + 1) / m) for b in range(m)]
+    else:
+        ranked = np.sort(pset.confidences()).tolist()
+        ends = np.cumsum(counts).tolist()
+        nan = float("nan")
+        edges = [(ranked[end - c], ranked[end - 1]) if c else (nan, nan)
+                 for c, end in zip(counts, ends)]
+    return [BinSummary(lo, hi, c, a, f) for (lo, hi), c, a, f in zip(edges, counts, acc, conf)]
 
 
-def _weighted_gap(bins: list[BinSummary], n: int) -> float:
-    return float(sum(b.count / n * abs(b.accuracy - b.confidence) for b in bins if b.count))
+def _binned_gap(pset: PredictionSet, cfg: BinningConfig) -> float:
+    counts, acc, conf = _top_class_bins(pset.probs[None], pset.labels, cfg)
+    return float(_in_order(_gap_terms(counts, acc, conf, pset.n))[0])
 
 
 def ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> float:
-    if cfg.scheme != "equal_width":
-        cfg = BinningConfig(bins=cfg.bins, scheme="equal_width")
-    return _weighted_gap(bin_predictions(pset, cfg), pset.n)
+    return _binned_gap(pset, BinningConfig(bins=cfg.bins, scheme="equal_width"))
 
 
 def mce(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> float:
-    bins = bin_predictions(pset, cfg)
-    gaps = [abs(b.accuracy - b.confidence) for b in bins if b.count]
-    return float(max(gaps))
+    counts, acc, conf = _top_class_bins(pset.probs[None], pset.labels, cfg)
+    return float(max(np.abs(acc - conf)[counts > 0].tolist()))
 
 
 def adaece(pset: PredictionSet, cfg: BinningConfig = BinningConfig(scheme="equal_mass")) -> float:
-    if cfg.scheme != "equal_mass":
-        cfg = BinningConfig(bins=cfg.bins, scheme="equal_mass")
-    return _weighted_gap(bin_predictions(pset, cfg), pset.n)
+    return _binned_gap(pset, BinningConfig(bins=cfg.bins, scheme="equal_mass"))
 
 
 def classwise_ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig(),
@@ -181,15 +231,11 @@ def classwise_ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig(),
     """
     if norm not in ("global", "per-class"):
         raise ValueError(f"unknown cwece norm {norm!r}")
-    total = 0.0
-    for k in range(pset.k):
-        pk = pset.probs[:, k]
-        is_k = (pset.labels == k).astype(float)
-        denom = pset.n if norm == "global" else max(int(is_k.sum()), 1)
-        for rows in _bins(pk, cfg):
-            if rows.size:
-                total += rows.size / denom * abs(is_k[rows].mean() - pk[rows].mean())
-    return total / pset.k
+    is_k = pset.labels == np.arange(pset.k)[:, None]
+    denom = pset.n if norm == "global" else np.maximum(is_k.sum(axis=1), 1)[:, None]
+    counts, hits, means = _bin_stats(pset.probs.T, is_k, cfg)
+    # one running sum over the classes and, within each, over its bins
+    return float(_in_order(_gap_terms(counts, hits, means, denom).ravel())) / pset.k
 
 
 def _max_chain(w: np.ndarray, knots: np.ndarray) -> np.ndarray:
@@ -329,14 +375,32 @@ def smce(pset: PredictionSet) -> SmceResult:
     return SmceResult(value=value, witness=witness, duality_gap=gap)
 
 
+def _nll_and_error(probs: np.ndarray, labels: np.ndarray):
+    """Mean NLL (log floored at 1e-12) and top-1 error of each (n, K) slice of ``probs``."""
+    p_true = probs[..., np.arange(labels.size), labels]
+    nll = np.mean(-libm(math.log, np.maximum(p_true, LOG_EPS)), axis=-1)
+    return nll, np.mean(probs.argmax(axis=-1) != labels, axis=-1)
+
+
 def score_metrics(pset: PredictionSet) -> dict:
     """Mean NLL (log floored at 1e-12), Brier score, and top-1 error."""
-    p_true = pset.probs[np.arange(pset.n), pset.labels]
-    nll = float(np.mean(-libm(math.log, np.maximum(p_true, LOG_EPS))))
+    nll, error = _nll_and_error(pset.probs, pset.labels)
     onehots = np.eye(pset.k)[pset.labels]
     brier = float(np.mean(np.sum((pset.probs - onehots) ** 2, axis=1)))
-    error = float(np.mean(pset.predicted() != pset.labels))
-    return {"nll": nll, "brier": brier, "error": error}
+    return {"nll": float(nll), "brier": brier, "error": float(error)}
+
+
+def stacked_scores(probs: np.ndarray, labels: np.ndarray,
+                   cfg: BinningConfig = BinningConfig()) -> dict:
+    """Equal-width ECE, NLL and error of each (n, K) slice of the (E, n, K) stack ``probs``.
+
+    Each is an (E,) array with the bits that ``ece`` and ``score_metrics``
+    give on ``PredictionSet(probs[e], labels)``, from one pass over the stack.
+    """
+    counts, acc, conf = _top_class_bins(probs, labels, BinningConfig(bins=cfg.bins))
+    nll, error = _nll_and_error(probs, labels)
+    return {"ece": _in_order(_gap_terms(counts, acc, conf, labels.size)), "nll": nll,
+            "error": error}
 
 
 def auroc(scores_pos, scores_neg) -> float:

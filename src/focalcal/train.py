@@ -17,7 +17,12 @@ from ._common import softmax
 from .calibrate import apply_temperature, temperature_scan
 from .data import LabeledPoint, PredictionSet, points_to_arrays
 from .losses import LossSpec, batch_logit_grads, batch_values
-from .metrics import BinningConfig, adaece, classwise_ece, ece, score_metrics
+from .metrics import (BinningConfig, adaece, classwise_ece, ece, score_metrics,
+                      stacked_scores)
+
+# epochs whose test logits are kept and then scored in one pass; bounds the
+# history buffer at HISTORY_CHUNK * n_test * K floats
+HISTORY_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,37 @@ def loss_and_grads(model: ModelState, spec: LossSpec, xs: np.ndarray, targets: n
             if model.config.activation == "relu":
                 delta = delta * (pre[i - 1] > 0.0)
             else:
-                delta = delta * (1.0 - np.tanh(pre[i - 1]) ** 2)
+                # acts[i] is tanh(pre[i - 1])
+                delta = delta * (1.0 - acts[i] ** 2)
     return float(values.mean()), grads_w, grads_b
+
+
+def _flat_params(model: ModelState) -> np.ndarray:
+    """Make the model's weights and biases views into one flat vector, and return it."""
+    params = model.weights + model.biases
+    flat = np.concatenate([p.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params]).tolist()
+    views = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+    model.weights, model.biases = views[:len(model.weights)], views[len(model.weights):]
+    return flat
+
+
+def _history_rows(spec: LossSpec, logits: np.ndarray, labels: np.ndarray, targets: np.ndarray,
+                  train_losses: list, first_epoch: int, cfg_bins: BinningConfig) -> list[dict]:
+    """History rows of consecutive epochs from their (E, n, K) stack of test logits.
+
+    One pass scores the whole stack, with the bits that scoring each epoch's
+    ``predictions`` on its own would give.
+    """
+    probs = softmax(logits, axis=-1)
+    test_loss = batch_values(spec, probs, targets).mean(axis=1)
+    scores = stacked_scores(probs, labels, cfg_bins)
+    return [{"epoch": epoch, "train_loss": loss, "test_loss": test, "test_ece": e,
+             "test_nll": nll, "test_error": err}
+            for epoch, loss, test, e, nll, err in zip(
+                range(first_epoch, first_epoch + len(train_losses)), train_losses,
+                test_loss.tolist(), scores["ece"].tolist(), scores["nll"].tolist(),
+                scores["error"].tolist())]
 
 
 def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
@@ -155,45 +189,50 @@ def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
 
     History records per-epoch train/test loss and test ECE/NLL/error. Raises
     on divergence (non-finite loss) with the offending epoch index.
+
+    The weights and biases are views into one flat vector, so an Adam or
+    SGD step is one set of elementwise operations on it. Each epoch keeps
+    its test logits; every HISTORY_CHUNK epochs (and after the last) they
+    are scored together by ``_history_rows``.
     """
     if not train_points or not test_points:
         raise ValueError("train and test sets must be nonempty")
     xs, ys, _ = points_to_arrays(train_points)
     xt, yt, _ = points_to_arrays(test_points)
     k = cfg.layers[-1]
+    if min(ys.min(), yt.min()) < 0 or max(ys.max(), yt.max()) >= k:
+        raise ValueError("label out of range")
     targets = np.eye(k)[ys]
     test_targets = np.eye(k)[yt]
 
     model = init_model(cfg)
-    params = model.weights + model.biases
-    # Adam's first and second moments, one pair per parameter array
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    params = _flat_params(model)
+    # Adam's first and second moments
+    m, v = np.zeros_like(params), np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     history = TrainHistory()
     cfg_bins = BinningConfig(bins=bins)
+    test_logits, train_losses = [], []
     for epoch in range(1, cfg.epochs + 1):
         train_loss, gw, gb = loss_and_grads(model, spec, xs, targets)
         if not np.isfinite(train_loss):
             raise FloatingPointError(f"training diverged at epoch {epoch}")
-        for p, g, (m, v) in zip(params, gw + gb, moments):
-            if cfg.optimizer == "adam":
-                m[:] = beta1 * m + (1 - beta1) * g
-                v[:] = beta2 * v + (1 - beta2) * g ** 2
-                p -= cfg.lr * (m / (1 - beta1 ** epoch)) / (np.sqrt(v / (1 - beta2 ** epoch)) + eps)
-            else:
-                p -= cfg.lr * g
+        g = np.concatenate([a.ravel() for a in gw + gb])
+        if cfg.optimizer == "adam":
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g ** 2
+            params -= (cfg.lr * (m / (1 - beta1 ** epoch))
+                       / (np.sqrt(v / (1 - beta2 ** epoch)) + eps))
+        else:
+            params -= cfg.lr * g
 
-        test_set = predictions(model, xt, yt)
-        scores = score_metrics(test_set)
-        history.epochs.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "test_loss": float(batch_values(spec, test_set.probs, test_targets).mean()),
-            "test_ece": ece(test_set, cfg_bins),
-            "test_nll": scores["nll"],
-            "test_error": scores["error"],
-        })
+        test_logits.append(forward(model, xt))
+        train_losses.append(train_loss)
+        if len(train_losses) == HISTORY_CHUNK or epoch == cfg.epochs:
+            history.epochs += _history_rows(spec, np.stack(test_logits), yt, test_targets,
+                                            train_losses, epoch + 1 - len(train_losses), cfg_bins)
+            test_logits, train_losses = [], []
     return model, history
 
 

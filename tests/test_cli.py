@@ -111,6 +111,38 @@ class TestExitCodes:
         rc, _, err = run_capture(["metrics", "--input", str(bad)])
         assert rc == 1 and err.startswith("error: row 2: ") and "Traceback" not in err
 
+    # the same bad third line of a log whose first line is blank: each check
+    # names it by its line number in the file
+    @pytest.mark.parametrize("bad_row, message", [
+        ('{"probs": [0.5, 0.6], "label": 0}', "probability mass"),
+        ('{"probs": [0.2, 0.3, 0.5], "label": 0}', "inconsistent K in 'probs'"),
+        ('{"probs": [0.5, 0.5], "label": 0, "eta": [0.5, 0.6]}', "eta: "),
+        ('{"probs": [0.5, 0.5], "label": 0, "eta": [0.2, 0.3, 0.5]}', "inconsistent K in 'eta'"),
+    ], ids=["mass", "K", "eta mass", "eta K"])
+    def test_row_number_counts_blank_lines(self, tmp_path, bad_row, message):
+        eta = ', "eta": [0.4, 0.6]' if "eta" in bad_row else ""
+        log = tmp_path / "log.jsonl"
+        log.write_text(f'\n{{"probs": [0.4, 0.6], "label": 1{eta}}}\n{bad_row}\n')
+        rc, _, err = run_capture(["metrics", "--input", str(log)])
+        assert rc == 1 and err.startswith("error: row 3: ") and message in err
+
+    @pytest.mark.parametrize("bad_row, message", [("0.5,0.6,0", "probability mass"),
+                                                  ("0.5,0", "expected 3 fields")],
+                             ids=["mass", "K"])
+    def test_csv_row_number_counts_blank_lines(self, tmp_path, bad_row, message):
+        log = tmp_path / "log.csv"
+        log.write_text(f"p_0,p_1,label\n\n0.4,0.6,1\n{bad_row}\n")
+        rc, _, err = run_capture(["metrics", "--input", str(log), "--format", "rows-csv"])
+        assert rc == 1 and err.startswith("error: row 4: ") and message in err
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_point_label_out_of_range(self, tmp_path, label):
+        points = tmp_path / "points.jsonl"
+        rows = [{"x": [0.1 * i, 0.3], "label": label if i == 3 else i % 2} for i in range(20)]
+        points.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        rc, _, err = run_capture(["train", "--data", str(points), "--epochs", "3"])
+        assert rc == 1 and err == "error: label out of range\n"
+
     def test_nan_auroc_score(self, tmp_path):
         pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
         pos.write_text("0.9\nnan\n")

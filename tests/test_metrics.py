@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (naive_adaece, naive_cwece, naive_ece_mce, naive_scores,
+from conftest import (_width_bin_masks, naive_adaece, naive_cwece, naive_ece_mce, naive_scores,
                       naive_softmax, pairwise_auroc, rand_prediction_arrays,
                       smce_bruteforce, smce_lp)
 from focalcal import metrics
@@ -130,6 +130,110 @@ class TestBinningProperties:
         if np.unique(conf).size < conf.size:
             moved[2] = 0.0
         assert np.max(moved) <= 1e-12
+
+
+# bin sizes around the points where numpy's pairwise summation changes its
+# order: fewer than 8 terms are added one by one, 8 to 128 in eight
+# interleaved partial sums, and more than 128 are split in two
+PAIRWISE_SIZES = (0, 1, 7, 8, 9, 128, 129, 130, 200, 257)
+
+
+@st.composite
+def binned_stacks(draw):
+    """(values, hits, bins): an (E, n) stack whose rows fill chosen equal-width bins.
+
+    Every row has the same bin sizes in another order over the bins; its
+    members are shuffled, so each bin's members are spread over the row, and
+    some values lie exactly on a bin edge (0 in the first bin).
+    """
+    m = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.one_of(st.sampled_from(PAIRWISE_SIZES), st.integers(0, 20)),
+                          min_size=m, max_size=m).filter(sum))
+    rows = [sizes] + draw(st.lists(st.permutations(sizes), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_edge = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values = []
+    for row in rows:
+        parts = []
+        for b, size in enumerate(row):
+            lo, hi = b / m, (b + 1) / m
+            v = rng.uniform(lo, hi, size)
+            v[v <= lo] = hi
+            v[rng.random(size) < on_edge] = 0.0 if b == 0 and rng.random() < 0.5 else hi
+            parts.append(v)
+        values.append(rng.permutation(np.concatenate(parts)))
+    values = np.array(values)
+    return values, rng.random(values.shape) < 0.6, m
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(np.where(nan, 0.0, a).view(np.uint64),
+                                   np.where(nan, 0.0, b).view(np.uint64)))
+
+
+class TestBinStats:
+    """The binned-statistics kernel against the definition, bin by bin."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(binned_stacks())
+    def test_equal_width_means_in_row_order(self, case):
+        values, hits, m = case
+        counts, hit_means, means = metrics._bin_stats(values, hits, BinningConfig(bins=m))
+        for e, (row, row_hits) in enumerate(zip(values, hits.astype(float))):
+            masks = _width_bin_masks(row, m)
+            assert counts[e].tolist() == [int(mask.sum()) for mask in masks]
+            want = [(row_hits[mask].mean(), row[mask].mean()) if mask.any() else (np.nan, np.nan)
+                    for mask in masks]
+            assert same_bits(hit_means[e], [w[0] for w in want])
+            assert same_bits(means[e], [w[1] for w in want])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(binned_stacks())
+    def test_equal_mass_means_in_value_order(self, case):
+        values, hits, m = case
+        # coarse values make ties, which equal-mass runs split by row order
+        values = np.round(values * 8.0) / 8.0
+        counts, hit_means, means = metrics._bin_stats(
+            values, hits, BinningConfig(bins=m, scheme="equal_mass"))
+        base, rem = divmod(values.shape[1], m)
+        sizes = [base + (b < rem) for b in range(m)]
+        ends = np.cumsum(sizes)
+        for e, (row, row_hits) in enumerate(zip(values, hits.astype(float))):
+            order = np.argsort(row, kind="stable")
+            runs = [order[end - size:end] for size, end in zip(sizes, ends)]
+            assert counts[e].tolist() == sizes
+            assert same_bits(hit_means[e],
+                             [row_hits[r].mean() if r.size else np.nan for r in runs])
+            assert same_bits(means[e], [row[r].mean() if r.size else np.nan for r in runs])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4), st.integers(1, 300), st.integers(2, 4), st.integers(1, 20),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stacked_scores_match_each_slice(self, e, n, k, m, on_edges, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.full(k, 0.7), size=(e, n))
+        if on_edges:
+            # top-class confidences on the bin edges of 1..20 bins
+            top = rng.integers(20, 41, size=(e, n)) / 40.0
+            probs = np.stack([top, 1.0 - top], axis=-1) if k == 2 else probs
+        labels = rng.integers(0, k, size=n)
+        cfg = BinningConfig(bins=m)
+        got = metrics.stacked_scores(probs, labels, cfg)
+        for i in range(e):
+            ps = pset(probs[i], labels)
+            scores = score_metrics(ps)
+            # the definition: a running sum over the nonempty bins, in bin order
+            total = 0.0
+            for b in bin_predictions(ps, cfg):
+                if b.count:
+                    total += b.count / n * abs(b.accuracy - b.confidence)
+            assert same_bits(got["ece"][i], total)
+            assert same_bits(got["ece"][i], ece(ps, cfg))
+            assert same_bits(got["nll"][i], scores["nll"])
+            assert same_bits(got["error"][i], scores["error"])
 
 
 class TestClasswise:

@@ -1,11 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from focalcal.data import LabeledPoint, SyntheticConfig, generate, points_to_arrays
-from focalcal.losses import LossSpec
-from focalcal.train import (MLPConfig, ModelState, decision_grid, forward,
-                            init_model, lambda_sweep, loss_and_grads,
+from focalcal.losses import FAMILIES, LossSpec, batch_values
+from focalcal.metrics import BinningConfig, ece, score_metrics
+from focalcal.train import (HISTORY_CHUNK, MLPConfig, ModelState, decision_grid,
+                            forward, init_model, lambda_sweep, loss_and_grads,
                             predictions, split_points, train)
+
+# the package re-exports the function ``train``, which hides the module
+train_module = importlib.import_module("focalcal.train")
 
 
 def four_point_xor_free():
@@ -120,6 +126,111 @@ class TestTraining:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             train(MLPConfig(), LossSpec(family="ce"), [], four_point_xor_free())
+
+
+def reference_train(cfg, spec, train_points, test_points, bins=15):
+    """The per-epoch loop: Adam array by array, and each epoch's test set scored on its own."""
+    xs, ys, _ = points_to_arrays(train_points)
+    xt, yt, _ = points_to_arrays(test_points)
+    k = cfg.layers[-1]
+    targets, test_targets = np.eye(k)[ys], np.eye(k)[yt]
+    model = init_model(cfg)
+    params = model.weights + model.biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    rows = []
+    for epoch in range(1, cfg.epochs + 1):
+        train_loss, gw, gb = loss_and_grads(model, spec, xs, targets)
+        for p, g, (m, v) in zip(params, gw + gb, moments):
+            if cfg.optimizer == "adam":
+                m[:] = 0.9 * m + (1 - 0.9) * g
+                v[:] = 0.999 * v + (1 - 0.999) * g ** 2
+                p -= cfg.lr * (m / (1 - 0.9 ** epoch)) / (np.sqrt(v / (1 - 0.999 ** epoch)) + 1e-8)
+            else:
+                p -= cfg.lr * g
+        test_set = predictions(model, xt, yt)
+        scores = score_metrics(test_set)
+        rows.append({
+            "epoch": epoch,
+            "train_loss": train_loss,
+            "test_loss": float(batch_values(spec, test_set.probs, test_targets).mean()),
+            "test_ece": ece(test_set, BinningConfig(bins=bins)),
+            "test_nll": scores["nll"],
+            "test_error": scores["error"],
+        })
+    return model, rows
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_same_training(cfg, spec, tr, te):
+    model, hist = train(cfg, spec, tr, te)
+    ref_model, ref_rows = reference_train(cfg, spec, tr, te)
+    assert [r["epoch"] for r in hist.epochs] == list(range(1, cfg.epochs + 1))
+    for key in ("train_loss", "test_loss", "test_ece", "test_nll", "test_error"):
+        got = [r[key] for r in hist.epochs]
+        assert all(type(v) is float for v in got), key
+        assert np.array_equal(bits(got), bits([r[key] for r in ref_rows])), key
+    for a, b in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+        assert a.shape == b.shape and np.array_equal(bits(a), bits(b))
+    return hist
+
+
+MOONS = generate(SyntheticConfig(kind="moons", n=100, noise=0.3, seed=12))
+MOONS_SPLIT = split_points(MOONS, 12)
+
+
+class TestMatchesPerEpochLoop:
+    """``train`` takes one flat step and scores its history in chunks of epochs,
+    with the bits of the per-epoch loop in ``reference_train``."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("optimizer, activation, weight_decay", [
+        (opt, act, wd) for opt in ("adam", "sgd") for act in ("relu", "tanh")
+        for wd in (0.0, 1e-3)])
+    def test_bit_for_bit(self, family, optimizer, activation, weight_decay):
+        spec = LossSpec(family=family, gamma=3.0, lam=0.5, alpha=0.1)
+        cfg = MLPConfig(seed=3, epochs=12, optimizer=optimizer, activation=activation,
+                        weight_decay=weight_decay, lr=0.05 if optimizer == "adam" else 0.5)
+        tr, _, te = MOONS_SPLIT
+        assert_same_training(cfg, spec, tr, te)
+
+    def test_across_chunk_boundaries(self):
+        # two full chunks and a part of a third; three classes and a deeper net
+        pts = generate(SyntheticConfig(kind="moons", n=90, noise=0.3, seed=13))
+        pts = [LabeledPoint(x=p.x, label=2 if p.x[0] > 1.2 else p.label) for p in pts]
+        tr, _, te = split_points(pts, 13)
+        cfg = MLPConfig(layers=(2, 6, 5, 3), seed=13, epochs=2 * HISTORY_CHUNK + 5,
+                        activation="tanh", weight_decay=1e-3, lr=0.02)
+        hist = assert_same_training(cfg, LossSpec(family="fcl", gamma=3.0, lam=0.5), tr, te)
+        assert len({r["test_ece"] for r in hist.epochs}) > 10
+
+
+def test_work_counts(monkeypatch):
+    # one gradient evaluation per epoch, and one scoring pass per chunk of
+    # epochs in place of an ece and a score_metrics call per epoch
+    calls = {"grads": 0, "passes": 0, "single": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(train_module, "batch_logit_grads",
+                        counting("grads", train_module.batch_logit_grads))
+    monkeypatch.setattr(train_module, "_history_rows",
+                        counting("passes", train_module._history_rows))
+    monkeypatch.setattr(train_module, "ece", counting("single", train_module.ece))
+    monkeypatch.setattr(train_module, "score_metrics",
+                        counting("single", train_module.score_metrics))
+    epochs = 2 * HISTORY_CHUNK + 1
+    tr, _, te = MOONS_SPLIT
+    _, hist = train(MLPConfig(seed=4, epochs=epochs), LossSpec(family="fcl", gamma=3.0, lam=0.5),
+                    tr, te)
+    assert len(hist.epochs) == epochs
+    assert calls == {"grads": epochs, "passes": 3, "single": 0}
 
 
 class TestSplit:
