@@ -160,7 +160,8 @@ def _is_int(v) -> bool:
 
 def _numeric_array(vec, key: str, lineno: int, k) -> list:
     """``vec`` if it is a JSON array of numbers with k entries (any count if k is None)."""
-    if not isinstance(vec, list) or not all(_is_int(v) or isinstance(v, float) for v in vec):
+    # JSON true/false parse to bool, whose type is neither int nor float
+    if not isinstance(vec, list) or not set(map(type, vec)) <= {int, float}:
         raise DataFormatError(f"row {lineno}: {key!r} must be a numeric array")
     if k is not None and len(vec) != k:
         raise DataFormatError(f"row {lineno}: inconsistent K in {key!r} ({len(vec)} vs {k})")

@@ -9,7 +9,8 @@ The risk of every supported family is separable across classes:
 ``phi_gamma(q) = -(1-q)^gamma log q``, each term convex in q_i. So for K >= 3
 the minimizer solves one equation in the multiplier mu of sum q = 1 by dual
 safeguarded Newton (``iterations`` counts the trial values of mu); binary
-specs bisect on the risk derivative (``iterations`` counts the steps).
+specs solve for the zero of the risk derivative by the same rule
+(``iterations`` counts its passes).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import ConvergenceError, as_simplex, newton_root
+from ._common import ConvergenceError, as_simplex, newton_root, newton_root_scalar
 from .losses import LossSpec, batch_values, focal_phi
 
 Q_LO = 1e-12
@@ -28,7 +29,6 @@ KKT_TOL = 1e-8
 # |sum q - 1| above this is off the simplex, whatever the KKT residual says;
 # a solved point sums to 1 within a few ulp
 SIMPLEX_TOL = 1e-12
-_BISECT_STEPS = 200
 
 
 @dataclass
@@ -141,33 +141,19 @@ def _minimize_simplex(spec: LossSpec, eta: np.ndarray):
 
 
 def _minimize_binary(spec: LossSpec, eta: np.ndarray):
-    """Bisect the nondecreasing risk derivative of each row of ``eta`` (n, 2), each
-    row exactly as it would alone. Returns q (n, 2) and the steps per row."""
-    q = np.empty_like(eta)
-
+    """Zero of the nondecreasing risk derivative of each row of ``eta`` (n, 2), each
+    row exactly as it would be alone. Returns q (n, 2) and the Newton passes."""
     def deriv(x):
-        q[:, 0], q[:, 1] = x, 1.0 - x
-        g, = _risk_terms(spec, q, eta, 1)
-        return g[:, 0] - g[:, 1]
+        g, h = _risk_terms(spec, np.stack([x, 1.0 - x], axis=-1), eta, 2)
+        return g[..., 0] - g[..., 1], h[..., 0] + h[..., 1]
 
-    lo, hi = np.full(eta.shape[0], Q_LO), np.full(eta.shape[0], Q_HI)
-    d_lo, d_hi = deriv(lo), deriv(hi)
-    iterations = np.zeros(eta.shape[0], dtype=int)
-    active = ~(d_lo >= 0.0) & ~(d_hi <= 0.0)
-    for _ in range(_BISECT_STEPS):
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        up = deriv(mid) > 0.0
-        # a midpoint equal to an end would repeat this very step up to the cap
-        stuck = active & ((mid == lo) | (mid == hi))
-        hi = np.where(active & up, mid, hi)
-        lo = np.where(active & ~up, mid, lo)
-        iterations = np.where(stuck, _BISECT_STEPS, iterations + active)
-        active &= (hi - lo >= 1e-16) & ~stuck
-    x = np.where(d_lo >= 0.0, Q_LO, np.where(d_hi <= 0.0, Q_HI, 0.5 * (lo + hi)))
-    q[:, 0], q[:, 1] = x, 1.0 - x
-    return q, iterations
+    d_lo, d_hi = deriv(np.array([[Q_LO], [Q_HI]]))[0]
+    # a derivative that keeps one sign over the interval pins the row to an end,
+    # Q_LO first, as a collapsed bracket
+    lo = np.where(~(d_lo >= 0.0) & (d_hi <= 0.0), Q_HI, Q_LO)
+    hi = np.where(d_lo >= 0.0, Q_LO, Q_HI)
+    x, _, passes = newton_root(deriv, lo, hi, eta[:, 0])
+    return np.stack([x, 1.0 - x], axis=-1), passes
 
 
 def minimize_risk(spec: LossSpec, eta) -> MinimizerResult:
@@ -176,7 +162,8 @@ def minimize_risk(spec: LossSpec, eta) -> MinimizerResult:
     if spec.family == "flsd53":
         raise ValueError("flsd53 risk is discontinuous in q; minimizer undefined")
     q, iterations = (_minimize_simplex(spec, eta) if eta.shape[0] > 2
-                     else [a[0] for a in _minimize_binary(spec, eta[None])])
+                     else _minimize_binary(spec, eta[None]))
+    q = q.reshape(eta.shape)
     val, = _risk_terms(spec, q, eta, 0)
     res = _kkt_residual(spec, q, eta)
     on_simplex = abs(float(q.sum()) - 1.0) <= SIMPLEX_TOL
@@ -193,8 +180,8 @@ def sigma_eval(spec: SigmaSpec, q: float) -> float:
     return float(math.pow(1.0 - q, g) - middle - 2.0 * lam * q)
 
 
-def sigma_root(spec: SigmaSpec, tol: float = 1e-10) -> float:
-    """Unique zero of sigma on (0, 1), by bisection (requires lambda > 0)."""
+def sigma_root(spec: SigmaSpec) -> float:
+    """Unique zero of sigma on (0, 1), to adjacent floats (requires lambda > 0)."""
     if spec.lam <= 0.0:
         raise ValueError("sigma root requires lambda > 0 (boundary root at q -> 1 otherwise)")
     if spec.gamma == 0.0:
@@ -204,16 +191,11 @@ def sigma_root(spec: SigmaSpec, tol: float = 1e-10) -> float:
             raise ConvergenceError("sigma endpoints do not bracket a root")
         return root
     lo, hi = 1e-12, 1.0 - 1e-12
-    f_lo, f_hi = sigma_eval(spec, lo), sigma_eval(spec, hi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
+    if sigma_eval(spec, lo) <= 0.0 or sigma_eval(spec, hi) >= 0.0:
         raise ConvergenceError("sigma endpoints do not bracket a root")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sigma_eval(spec, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # -sigma rises through its root; a nan slope bisects down to adjacent floats
+    root, _ = newton_root_scalar(lambda x: (-sigma_eval(spec, x), math.nan), lo, hi, 0.5)
+    return root
 
 
 def optimal_curve(spec: LossSpec, q_grid) -> list[tuple[float, float]]:

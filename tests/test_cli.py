@@ -193,6 +193,16 @@ class TestSmallOracles:
         assert rc == 0 and result["converged"] is True
         assert result["kkt_residual"] <= 1e-8
 
+    def test_minimize_tiny_posterior_converges(self, tmp_path):
+        # ce's minimizer is the posterior itself, far below any absolute width
+        eta0 = 2.2222954526477277e-11
+        out = tmp_path / "m.json"
+        rc, _, _ = run_capture(["minimize", "--eta", f"{eta0!r},0.999999999977777",
+                                "--loss", "ce", "--out", str(out)])
+        result = json.loads(out.read_text())
+        assert rc == 0 and result["converged"] is True
+        assert result["q_star"][0] == eta0
+
 
 class TestInputParity:
     def test_logits_and_probs_reports_identical(self, tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import definition_risk, simplex_minimizer_slsqp
 from focalcal import theory
@@ -211,31 +215,71 @@ def scalar_bisection(spec, eta):
 
     lo, hi = 1e-12, 1.0 - 1e-12
     if deriv(lo) >= 0.0:
-        return lo, 0
+        return lo
     if deriv(hi) <= 0.0:
-        return hi, 0
-    for steps in range(1, 201):
+        return hi
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if deriv(mid) > 0.0 else (mid, hi)
         if hi - lo < 1e-16:
             break
-    return 0.5 * (lo + hi), steps
+    return 0.5 * (lo + hi)
+
+
+BINARY_GRID = np.concatenate([np.round(np.arange(0.0, 1.0001, 0.05), 10),
+                              [1e-9, 0.5 + 1e-12, 1.0 - 1e-9]])
 
 
 class TestBinaryBisection:
     @pytest.mark.parametrize("spec", SIMPLEX_SPECS + [LossSpec(family="flsd53")], ids=spec_id)
     def test_batch_matches_scalar_loop_and_pointwise_minimizer(self, spec):
-        # rows stop early once their midpoint repeats, yet report 200 steps
-        grid = np.concatenate([np.round(np.arange(0.0, 1.0001, 0.05), 10),
-                               [1e-9, 0.5 + 1e-12, 1.0 - 1e-9]])
-        curve = optimal_curve(spec, grid)
-        assert [q for q, _ in curve] == grid.tolist()
+        # Newton lands within a few ulp of the bisection oracle's point, and
+        # never at a higher risk; flsd53's risk jumps at q = 0.2, so only the risk
+        # is compared there
+        curve = optimal_curve(spec, BINARY_GRID)
+        assert [q for q, _ in curve] == BINARY_GRID.tolist()
         for q, p in curve:
-            x, steps = scalar_bisection(spec, np.array([q, 1.0 - q]))
-            assert p == x
+            eta = np.array([q, 1.0 - q])
+            x = scalar_bisection(spec, eta)
+            risk, = _risk_terms(spec, np.array([[p, 1.0 - p], [x, 1.0 - x]]), eta, 0)
+            assert risk[0] <= risk[1] + 1e-15, (q, p, x)
             if spec.family != "flsd53":
-                res = minimize_risk(spec, [q, 1.0 - q])
-                assert res.q_star[0] == p and res.iterations == steps
+                assert abs(p - x) <= 1e-15, (q, p, x)
+                assert minimize_risk(spec, eta).q_star[0] == p
+
+    def test_rows_follow_the_scalar_rule(self, monkeypatch):
+        # each row, pinned ends (collapsed brackets) included, takes the scalar
+        # rule's steps bit for bit
+        seen = set()
+
+        def checked(f, lo, hi, x0):
+            x, s, it = newton_root(f, lo, hi, x0)
+            for i in range(x.size):
+                row = lambda v: tuple(float(a[i]) for a in f(np.full(x.size, v)))  # noqa: E731
+                scalar = newton_root_scalar(row, float(lo[i]), float(hi[i]), float(x0[i]))
+                assert np.array([x[i], s[i]]).tobytes() == np.array(scalar).tobytes()
+                seen.add(bool(lo[i] == hi[i]))
+            return x, s, it
+
+        monkeypatch.setattr(theory, "newton_root", checked)
+        for spec in SIMPLEX_SPECS + [LossSpec(family="flsd53")]:
+            optimal_curve(spec, BINARY_GRID)
+        assert seen == {True, False}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([LossSpec(family="ce"), LossSpec(family="brier"),
+                            LossSpec(family="focal", gamma=0.5),
+                            LossSpec(family="focal", gamma=2.0),
+                            LossSpec(family="focal", gamma=5.0),
+                            LossSpec(family="fcl", gamma=1.0, lam=0.1),
+                            LossSpec(family="fcl", gamma=3.0, lam=0.5),
+                            LossSpec(family="fcl", gamma=5.0, lam=1.5)]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_curve_is_nondecreasing(self, spec, a, b):
+        # the risk derivative falls in eta_0 for every convex family, so the exact
+        # curve is nondecreasing; the computed one may only stray by rounding
+        (q1, p1), (q2, p2) = optimal_curve(spec, [min(a, b), max(a, b)])
+        assert p1 <= p2 + 1e-15, (q1, p1, q2, p2)
 
 
 class TestSigma:
@@ -277,6 +321,16 @@ class TestSigma:
                     assert np.all(np.diff(head_vals) < 0.0)
                 else:
                     assert all(sigma_eval(spec, x) > 0.5 for x in head)
+
+    def test_root_to_adjacent_floats(self):
+        for gamma in (0.5, 1.0, 2.0, 3.0, 5.0):
+            for lam in (0.5, 1.0, 2.0):
+                spec = SigmaSpec(gamma=gamma, lam=lam)
+                root = sigma_root(spec)
+                at = sigma_eval(spec, root)
+                sides = [sigma_eval(spec, math.nextafter(root, end)) for end in (0.0, 1.0)]
+                assert at == 0.0 or any(at * side < 0.0 for side in sides), (gamma, lam)
+                assert abs(at) <= 1e-15
 
     def test_domain_and_lambda_validation(self):
         with pytest.raises(ValueError):
