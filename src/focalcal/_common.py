@@ -128,23 +128,24 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def as_simplex(values, mass_tol: float = 1e-8) -> np.ndarray:
-    """Validate and renormalize a probability vector.
+def as_simplex(values, mass_tol: float = 1e-8, ndim: int = 1) -> np.ndarray:
+    """Validate and renormalize a probability vector, or each row of a matrix.
 
-    Accepts any 1-D array-like with K >= 2 entries in [0, 1] whose mass is
-    within ``mass_tol`` of 1, and returns a fresh float64 array rescaled to
-    sum to exactly 1 (up to rounding).
+    ``values`` is ``ndim``-D (1: a vector, 2: rows) with K >= 2 entries in [0, 1]
+    on its last axis and mass within ``mass_tol`` of 1. Returns a fresh float64
+    array, each vector rescaled to sum to 1; C-contiguous rows get their own bits.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 2:
+    if v.ndim != ndim or v.shape[-1] < 2:
         raise ValueError(f"probability vector needs K >= 2 entries, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("probability vector has non-finite entries")
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise ValueError(f"probability entries outside [0, 1]: {v}")
-    mass = float(v.sum())
-    if abs(mass - 1.0) > mass_tol:
-        raise ValueError(f"probability mass {mass} deviates from 1 by more than {mass_tol}")
+    mass = v.sum(axis=-1, keepdims=True)
+    off = mass[np.abs(mass - 1.0) > mass_tol].tolist()
+    if off:
+        raise ValueError(f"probability mass {off[0]} deviates from 1 by more than {mass_tol}")
     return v / mass
 
 

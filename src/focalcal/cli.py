@@ -9,6 +9,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -53,10 +54,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """One ``%`` format: ``%.17g`` where the first row holds a float, else ``%d``."""
+    line = ",".join("%.17g" if isinstance(v, float) else "%d" for v in rows[0]) + "\n"
+    cells = tuple(itertools.chain.from_iterable(rows))
+    return ",".join(header) + "\n" + (line * len(rows)) % cells
 
 
 def _json_text(obj) -> str:
@@ -196,10 +197,9 @@ def cmd_boundary(args):
     bounds = tuple(float(v) for v in args.bounds.split(","))
     if len(bounds) != 4:
         raise ValueError("--bounds must be x0_min,x0_max,x1_min,x1_max")
-    rows = decision_grid(model, bounds, args.resolution)
-    k = len(rows[0]["probs"])
-    header = ["x0", "x1"] + [f"p_{i}" for i in range(k)]
-    _emit(_csv(header, [[r["x0"], r["x1"], *r["probs"]] for r in rows]), args.out)
+    points, probs = decision_grid(model, bounds, args.resolution)
+    header = ["x0", "x1"] + [f"p_{i}" for i in range(probs.shape[1])]
+    _emit(_csv(header, np.column_stack([points, probs]).tolist()), args.out)
     return 0
 
 

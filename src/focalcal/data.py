@@ -140,17 +140,19 @@ def load_predictions(path, format: str = "rows-json", input_kind: str = "probs")
 
 
 def _simplex_rows(rows, prefix: str, linenos: list) -> np.ndarray:
-    """(N, K) array of the rows, each checked and renormalized by ``as_simplex``.
+    """(N, K) array of the rows, checked and renormalized by one ``as_simplex`` call.
 
-    An error names the row by its line number in the file, as the readers do.
+    An error names the first bad row by its line in the file, with that row's own message.
     """
-    out = np.empty((len(rows), len(rows[0])))
-    for i, (row, lineno) in enumerate(zip(rows, linenos)):
-        try:
-            out[i] = as_simplex(row, mass_tol=1e-6)
-        except ValueError as exc:
-            raise DataFormatError(f"row {lineno}: {prefix}{exc}") from exc
-    return out
+    try:
+        return as_simplex(rows, mass_tol=1e-6, ndim=2)
+    except ValueError:
+        for row, lineno in zip(rows, linenos):
+            try:
+                as_simplex(row, mass_tol=1e-6)
+            except ValueError as exc:
+                raise DataFormatError(f"row {lineno}: {prefix}{exc}") from exc
+        raise
 
 
 def _is_int(v) -> bool:
@@ -308,7 +310,9 @@ def save_points(points: list[LabeledPoint], path) -> None:
 
 
 def load_points(path) -> list[LabeledPoint]:
+    """Points of a :func:`save_points` file; each error names its row's line."""
     points = []
+    k = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -317,10 +321,16 @@ def load_points(path) -> list[LabeledPoint]:
             try:
                 obj = json.loads(line)
                 eta = np.asarray(obj["eta"], dtype=float) if "eta" in obj else None
-                points.append(LabeledPoint(
-                    x=np.asarray(obj["x"], dtype=float), label=int(obj["label"]), eta=eta))
+                x, label = obj["x"], obj["label"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"row {lineno}: {exc}") from exc
+            if not _is_int(label):
+                raise DataFormatError(f"row {lineno}: missing or non-integer label")
+            x = _numeric_array(x, "x", lineno, k)
+            k = len(x)
+            if not all(map(math.isfinite, x)):
+                raise DataFormatError(f"row {lineno}: non-finite values in 'x'")
+            points.append(LabeledPoint(x=np.asarray(x, dtype=float), label=label, eta=eta))
     if not points:
         raise DataFormatError("empty point file")
     return points

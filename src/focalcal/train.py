@@ -248,10 +248,12 @@ def split_points(points: list[LabeledPoint], seed: int,
     return tr, va, te
 
 
-def decision_grid(model: ModelState, bounds, resolution: int) -> list[dict]:
+def decision_grid(model: ModelState, bounds, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major grid of predicted probabilities over a rectangle.
 
-    ``bounds`` is (x0_min, x0_max, x1_min, x1_max).
+    ``bounds`` is (x0_min, x0_max, x1_min, x1_max). Returns the
+    (resolution², 2) grid points, x1 varying fastest, and their
+    (resolution², K) probabilities from one forward pass.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -262,14 +264,8 @@ def decision_grid(model: ModelState, bounds, resolution: int) -> list[dict]:
         raise ValueError("degenerate bounds")
     g0 = np.linspace(x0_min, x0_max, resolution)
     g1 = np.linspace(x1_min, x1_max, resolution)
-    rows = []
-    for a in g0:
-        xs = np.column_stack([np.full(resolution, a), g1])
-        probs = softmax(forward(model, xs), axis=1)
-        for j in range(resolution):
-            rows.append({"x0": float(a), "x1": float(g1[j]),
-                         "probs": probs[j].tolist()})
-    return rows
+    points = np.column_stack([np.repeat(g0, resolution), np.tile(g1, resolution)])
+    return points, softmax(forward(model, points), axis=1)
 
 
 def lambda_sweep(cfg: MLPConfig, gammas, lambdas, points: list[LabeledPoint],

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from focalcal.calibrate import ConvergenceError
-from focalcal.cli import run
+from focalcal.cli import _csv, run
 
 HERE = pathlib.Path(__file__).resolve().parent
 FIX = HERE / "fixtures"
@@ -134,6 +136,67 @@ class TestExitCodes:
         log.write_text(f"p_0,p_1,label\n\n0.4,0.6,1\n{bad_row}\n")
         rc, _, err = run_capture(["metrics", "--input", str(log), "--format", "rows-csv"])
         assert rc == 1 and err.startswith("error: row 4: ") and message in err
+
+    # one bad row among good ones, for each check the loader makes on a row of
+    # probabilities or of eta; where two rows are bad, the first one is named
+    # even when the later one fails an earlier check
+    @pytest.mark.parametrize("bad, error", [
+        ({3: '{"probs": [NaN, 0.6], "label": 1, "eta": [0.3, 0.7]}'},
+         "non-finite values in prediction log"),
+        ({3: '{"probs": [1.5, -0.5], "label": 1, "eta": [0.3, 0.7]}'},
+         "row 3: probability entries outside [0, 1]: [ 1.5 -0.5]"),
+        ({3: '{"probs": [0.5, 0.6], "label": 1, "eta": [0.3, 0.7]}'},
+         "row 3: probability mass 1.1 deviates from 1 by more than 1e-06"),
+        ({3: '{"probs": [0.4, 0.6], "label": 1, "eta": [NaN, 0.7]}'},
+         "row 3: eta: probability vector has non-finite entries"),
+        ({3: '{"probs": [0.4, 0.6], "label": 1, "eta": [1.5, -0.5]}'},
+         "row 3: eta: probability entries outside [0, 1]: [ 1.5 -0.5]"),
+        ({3: '{"probs": [0.4, 0.6], "label": 1, "eta": [0.5, 0.6]}'},
+         "row 3: eta: probability mass 1.1 deviates from 1 by more than 1e-06"),
+        ({3: '{"probs": [0.5, 0.6], "label": 1, "eta": [0.3, 0.7]}',
+          5: '{"probs": [1.5, -0.5], "label": 1, "eta": [0.3, 0.7]}'},
+         "row 3: probability mass 1.1 deviates from 1 by more than 1e-06"),
+        ({3: '{"probs": [0.4, 0.6], "label": 1, "eta": [1.5, -0.5]}',
+          5: '{"probs": [0.4, 0.6], "label": 1, "eta": [NaN, 0.7]}'},
+         "row 3: eta: probability entries outside [0, 1]: [ 1.5 -0.5]"),
+        ({i: '{"probs": [1.0], "label": 0}' for i in range(2, 7)} | {1: ""},
+         "row 2: probability vector needs K >= 2 entries, got shape (1,)"),
+    ], ids=["nan", "range", "mass", "eta nan", "eta range", "eta mass",
+            "mass before range", "eta range before nan", "K < 2"])
+    def test_bad_row_among_good(self, tmp_path, bad, error):
+        good = '{"probs": [0.4, 0.6], "label": 1, "eta": [0.3, 0.7]}'
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(bad.get(i, good) + "\n" for i in range(1, 7)))
+        rc, _, err = run_capture(["metrics", "--input", str(log)])
+        assert rc == 1 and err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("bad, error", [
+        ({3: "nan,0.6,1"}, "non-finite values in prediction log"),
+        ({3: "1.5,-0.5,1"}, "row 3: probability entries outside [0, 1]: [ 1.5 -0.5]"),
+        ({3: "0.5,0.6,1"}, "row 3: probability mass 1.1 deviates from 1 by more than 1e-06"),
+        ({3: "0.5,0.6,1", 5: "1.5,-0.5,1"},
+         "row 3: probability mass 1.1 deviates from 1 by more than 1e-06"),
+    ], ids=["nan", "range", "mass", "mass before range"])
+    def test_csv_bad_row_among_good(self, tmp_path, bad, error):
+        log = tmp_path / "log.csv"
+        log.write_text("p_0,p_1,label\n" + "".join(bad.get(i, "0.4,0.6,1") + "\n"
+                                                    for i in range(2, 7)))
+        rc, _, err = run_capture(["metrics", "--input", str(log), "--format", "rows-csv"])
+        assert rc == 1 and err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ('{"x": [0.5, 0.3], "label": true}', "missing or non-integer label"),
+        ('{"x": [0.5, 0.3], "label": 1.7}', "missing or non-integer label"),
+        ('{"x": [NaN, 0.2], "label": 1}', "non-finite values in 'x'"),
+        ('{"x": [0.5, 0.3, 0.1], "label": 1}', "inconsistent K in 'x' (3 vs 2)"),
+    ], ids=["boolean label", "fractional label", "nan x", "ragged x"])
+    def test_bad_point_row(self, tmp_path, bad_row, message):
+        rows = [json.dumps({"x": [0.1 * i, 0.3], "label": i % 2}) for i in range(20)]
+        rows[3] = bad_row
+        points = tmp_path / "points.jsonl"
+        points.write_text("".join(row + "\n" for row in rows))
+        rc, _, err = run_capture(["train", "--data", str(points), "--epochs", "3"])
+        assert rc == 1 and err == f"error: row 4: {message}\n"
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_point_label_out_of_range(self, tmp_path, label):
@@ -333,3 +396,20 @@ class TestOutputFormats:
     def test_sweep_header(self):
         first = (GOLD / "sweep.csv").read_text().splitlines()[0]
         assert first == "gamma,lambda,best_t,pre_ece,post_ece,adaece,cwece,nll,error"
+
+
+class TestCsv:
+    def test_matches_per_cell_format(self):
+        # %.17g would write the int 10**17 as 1e+17, so the int column pins %d
+        rng = np.random.default_rng(12)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                   1e17, 0.1, 2.0]
+        scales = 10.0 ** rng.integers(-300, 300, size=90)
+        floats = special + (rng.normal(size=90) * scales).tolist()
+        ints = [10**17, -(10**17), 0, -1, 7] + rng.integers(-10**6, 10**6, size=95).tolist()
+        rows = [[f, i, g] for f, i, g in zip(floats, ints, floats[::-1])]
+        want = "a,count,b\n" + "".join(
+            ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows)
+        assert _csv(["a", "count", "b"], rows) == want
+        assert want.splitlines()[1].startswith("nan,100000000000000000,")

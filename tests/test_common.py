@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalcal import _common
-from focalcal._common import _probe, _probe_args, _reversed, libm, softmax
+from focalcal._common import _probe, _probe_args, _reversed, as_simplex, libm, softmax
 
 # numpy's AVX-512 exp gives 0.9971444573829081 here; libm gives ...908
 DRIFT_ARG = -0.0028596274570539502
@@ -197,3 +199,29 @@ class TestProbe:
     @pytest.mark.parametrize("fn", [math.exp, math.log, math.pow], ids=lambda f: f.__name__)
     def test_sees_simd_loops(self, fn, route):
         assert not _probe(fn, route)
+
+
+class TestAsSimplex:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), k=st.integers(2, 129),
+           digits=st.integers(6, 17))
+    def test_matrix_matches_rows_bit_for_bit(self, seed, n, k, digits):
+        # rows as a log holds them: floats printed to a few digits, so their
+        # mass is off 1 and the renormalization changes bits
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.full(k, rng.uniform(0.05, 5.0)), size=n)
+        rows = [[float(f"{v:.{digits}g}") for v in row] for row in p.tolist()]
+        got = as_simplex(rows, mass_tol=1e-4, ndim=2)
+        want = np.array([as_simplex(row, mass_tol=1e-4) for row in rows])
+        assert got.shape == (n, k) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values, ndim", [([0.5, 0.5], 2), ([[0.5, 0.5]], 1),
+                                              ([[np.nan], [2.0]], 2), (0.5, 1)])
+    def test_shape_checked_first(self, values, ndim):
+        with pytest.raises(ValueError, match="K >= 2 entries"):
+            as_simplex(values, ndim=ndim)
+
+    def test_mass_error_names_the_first_bad_row(self):
+        rows = [[0.5, 0.5], [0.5, 0.75], [0.5, 0.625]]
+        with pytest.raises(ValueError, match="probability mass 1.25 deviates"):
+            as_simplex(rows, ndim=2)

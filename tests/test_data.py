@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from focalcal import data as data_module
+from focalcal._common import as_simplex
 from focalcal.data import (DataFormatError, PredictionSet, SyntheticConfig,
                            gauss2_posterior, gen_gauss2, gen_moons, generate,
                            load_points, load_predictions, points_to_arrays,
@@ -101,6 +103,20 @@ class TestLoadPredictions:
         p.write_text("")
         with pytest.raises(DataFormatError, match="empty"):
             load_predictions(p)
+
+    def test_one_simplex_check_per_log(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(values, *args, **kwargs):
+            calls.append(np.shape(values))
+            return as_simplex(values, *args, **kwargs)
+
+        monkeypatch.setattr(data_module, "as_simplex", counted)
+        probs = np.random.default_rng(5).dirichlet(np.ones(10), size=1000)
+        p = tmp_path / "r.jsonl"
+        write_jsonl(p, [{"probs": row, "label": i % 10} for i, row in enumerate(probs.tolist())])
+        assert load_predictions(p).n == 1000
+        assert calls == [(1000, 10)]
 
 
 class TestPredictionSet:

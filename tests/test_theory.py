@@ -408,3 +408,15 @@ class TestOrderPreservation:
     def test_ties_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             order_preservation_check(LossSpec(family="ce"), [0.4, 0.4, 0.2])
+
+
+# a matrix of posteriors is not one posterior: both reject it with the shape
+# error, before the tie check
+@pytest.mark.parametrize("fn", [minimize_risk, order_preservation_check])
+@pytest.mark.parametrize("eta", [[[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]], [[0.4, 0.4, 0.2]]],
+                         ids=["distinct", "tied"])
+def test_matrix_eta_rejected(fn, eta):
+    shape = np.shape(eta)
+    with pytest.raises(ValueError) as exc:
+        fn(LossSpec(family="fcl", gamma=3.0, lam=0.5), eta)
+    assert str(exc.value) == f"probability vector needs K >= 2 entries, got shape {shape}"

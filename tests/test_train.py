@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+from focalcal._common import softmax
 from focalcal.data import LabeledPoint, SyntheticConfig, generate, points_to_arrays
 from focalcal.losses import FAMILIES, LossSpec, batch_values
 from focalcal.metrics import BinningConfig, ece, score_metrics
@@ -249,19 +250,57 @@ class TestSplit:
             assert all(p is q for p, q in zip(xs, ys))
 
 
+def per_row_grid(model, bounds, resolution):
+    """The decision grid as one forward pass per grid row: the reference."""
+    x0_min, x0_max, x1_min, x1_max = bounds
+    g0 = np.linspace(x0_min, x0_max, resolution)
+    g1 = np.linspace(x1_min, x1_max, resolution)
+    points, probs = [], []
+    for a in g0:
+        xs = np.column_stack([np.full(resolution, a), g1])
+        points.append(xs)
+        probs.append(softmax(forward(model, xs), axis=1))
+    return np.concatenate(points), np.concatenate(probs)
+
+
 class TestDecisionGrid:
     def test_row_count(self):
         model = init_model(MLPConfig(seed=8))
-        rows = decision_grid(model, (-1.0, 1.0, -1.0, 1.0), 7)
-        assert len(rows) == 49
+        points, probs = decision_grid(model, (-1.0, 1.0, -1.0, 1.0), 7)
+        assert points.shape == (49, 2) and probs.shape == (49, 2)
+        # row-major: x1 varies fastest
+        assert points[:7, 0].tolist() == [-1.0] * 7 and points[6, 1] == 1.0
+        assert points[7].tolist() == [-1.0 + 2.0 / 6, -1.0]
 
     def test_constant_model_uniform(self):
         model = init_model(MLPConfig(seed=8))
         for w in model.weights:
             w[:] = 0.0
-        rows = decision_grid(model, (0.0, 1.0, 0.0, 1.0), 3)
-        for r in rows:
-            assert np.allclose(r["probs"], 0.5)
+        _, probs = decision_grid(model, (0.0, 1.0, 0.0, 1.0), 3)
+        assert probs.shape == (9, 2) and np.allclose(probs, 0.5)
+
+    @pytest.mark.parametrize("resolution", [5, 37, 100])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_per_row_passes(self, activation, resolution):
+        pts = generate(SyntheticConfig(kind="moons", n=40, noise=0.2, seed=3))
+        cfg = MLPConfig(activation=activation, seed=3, epochs=30, lr=0.01)
+        model, _ = train(cfg, LossSpec(family="fcl", gamma=3.0, lam=0.5), pts, pts)
+        bounds = (-1.5, 2.5, -1.0, 1.5)
+        got = decision_grid(model, bounds, resolution)
+        want = per_row_grid(model, bounds, resolution)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_one_forward_pass(self, monkeypatch):
+        calls = []
+
+        def counted(model, xs):
+            calls.append(len(xs))
+            return forward(model, xs)
+
+        monkeypatch.setattr(train_module, "forward", counted)
+        decision_grid(init_model(MLPConfig(seed=8)), (0.0, 1.0, 0.0, 1.0), 100)
+        assert calls == [10_000]
 
     def test_degenerate_bounds(self):
         model = init_model(MLPConfig(seed=8))
