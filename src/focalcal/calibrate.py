@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,14 +36,9 @@ _LINK_TOL = 1e-12
 @dataclass
 class TemperatureScanResult:
     best_t: float
-    grid: list  # (t, ece) pairs in grid order
+    grid: list  # {"t", "ece"} rows in grid order
     pre_ece: float
     post_ece: float
-
-    def to_json(self) -> dict:
-        return {"best_t": self.best_t, "pre_ece": self.pre_ece,
-                "post_ece": self.post_ece,
-                "grid": [{"t": t, "ece": e} for t, e in self.grid]}
 
 
 @dataclass(frozen=True)
@@ -73,13 +68,7 @@ class PGapResult:
     optimized_risk: float
     pgap: float
     map: PostProcessMap
-    kkt_residual: float  # not serialized; see PGAP_KKT_TOL
-
-    def to_json(self) -> dict:
-        return {"raw_risk": self.raw_risk, "optimized_risk": self.optimized_risk,
-                "pgap": self.pgap,
-                "map": {"knots": self.map.knots.tolist(),
-                        "kappa": self.map.kappa.tolist()}}
+    kkt_residual: float = field(metadata={"payload": False})  # see PGAP_KKT_TOL
 
 
 def temperature_grid(t_min: float = 0.1, t_max: float = 10.0, t_step: float = 0.1) -> np.ndarray:
@@ -114,19 +103,15 @@ def temperature_scan(val: PredictionSet, cfg: BinningConfig = BinningConfig(),
     """
     if val.logits is None:
         raise ValueError("temperature scan requires logits")
-    grid = temperature_grid(t_min, t_max, t_step)
-    pairs = []
-    for t in grid:
-        pairs.append((float(t), ece(apply_temperature(val, float(t)), cfg)))
-    best_t, best_e = pairs[0]
-    for t, e in pairs[1:]:
-        if e < best_e or (e == best_e and (abs(t - 1.0), t) < (abs(best_t - 1.0), best_t)):
-            best_t, best_e = t, e
+    grid = [{"t": t, "ece": ece(apply_temperature(val, t), cfg)}
+            for t in temperature_grid(t_min, t_max, t_step).tolist()]
+    best = min(grid, key=lambda r: (r["ece"], abs(r["t"] - 1.0), r["t"]))
     # T = 1 is usually a grid point, and scaling by 1.0 is the identity
-    pre_ece = dict(pairs).get(1.0)
+    pre_ece = next((r["ece"] for r in grid if r["t"] == 1.0), None)
     if pre_ece is None:
         pre_ece = ece(apply_temperature(val, 1.0), cfg)
-    return TemperatureScanResult(best_t=best_t, grid=pairs, pre_ece=pre_ece, post_ece=best_e)
+    return TemperatureScanResult(best_t=best["t"], grid=grid, pre_ece=pre_ece,
+                                 post_ece=best["ece"])
 
 
 def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray):

@@ -9,6 +9,8 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -22,7 +24,8 @@ from .calibrate import apply_temperature, pgap, temperature_scan
 from .data import (DataFormatError, PredictionSet, SyntheticConfig, generate,
                    load_points, load_predictions, save_points)
 from .losses import LossSpec
-from .metrics import BinningConfig, auroc, compute_report, ece, reliability_table, smce
+from .metrics import (DEFAULT_BINS, BinningConfig, auroc, compute_report, ece,
+                      reliability_table, smce)
 from .theory import SigmaSpec, minimize_risk, optimal_curve, sigma_root
 from .train import MLPConfig, ModelState, decision_grid, lambda_sweep, split_points, train
 
@@ -60,8 +63,25 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return ",".join(header) + "\n" + (line * len(rows)) % cells
 
 
+def _payload(obj):
+    """The JSON value of a result.
+
+    A dataclass becomes a dict of its fields, less those marked
+    ``metadata={"payload": False}``; an ndarray becomes its ``tolist()``; a
+    list or tuple becomes a list. Anything else is returned as it is.
+    """
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _payload(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                if f.metadata.get("payload", True)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_payload(v) for v in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_payload(obj), indent=2, sort_keys=True) + "\n"
 
 
 def _print_config(args: argparse.Namespace) -> None:
@@ -98,7 +118,7 @@ def cmd_metrics(args):
     pset = _load(args)
     cfg = BinningConfig(bins=args.bins, scheme=args.scheme)
     report = compute_report(pset, cfg, cwece_norm=args.cwece_norm)
-    _emit(_json_text(report.to_json()), args.out)
+    _emit(_json_text(report), args.out)
     return 0
 
 
@@ -112,12 +132,7 @@ def cmd_reliability(args):
 
 
 def cmd_smce(args):
-    pset = _load(args)
-    res = smce(pset)
-    obj = {"value": res.value,
-           "witness": {"knots": res.witness.knots.tolist(),
-                       "values": res.witness.values.tolist()}}
-    _emit(_json_text(obj), args.out)
+    _emit(_json_text(smce(_load(args))), args.out)
     return 0
 
 
@@ -126,7 +141,7 @@ def cmd_temp_scale(args):
     cfg = BinningConfig(bins=args.bins)
     scan = temperature_scan(val, cfg, t_min=args.t_min, t_max=args.t_max,
                             t_step=args.t_step)
-    result = scan.to_json()
+    result = _payload(scan)
     if args.test:
         test = load_predictions(args.test, format=args.format, input_kind="logits")
         # loading already took the softmax of the logits as given (T = 1)
@@ -134,21 +149,19 @@ def cmd_temp_scale(args):
         result["test_post_ece"] = ece(apply_temperature(test, scan.best_t), cfg)
     _emit(_json_text(result), args.out)
     if args.grid_out:
-        _atomic_write(args.grid_out, _csv(["t", "ece"], [[t, e] for t, e in scan.grid]))
+        _atomic_write(args.grid_out, _csv(["t", "ece"], [[r["t"], r["ece"]] for r in scan.grid]))
     return 0
 
 
 def cmd_pgap(args):
-    pset = _load(args)
-    res = pgap(pset, _loss_spec(args))
-    _emit(_json_text(res.to_json()), args.out)
+    _emit(_json_text(pgap(_load(args), _loss_spec(args))), args.out)
     return 0
 
 
 def cmd_minimize(args):
     eta = np.array([float(v) for v in args.eta.split(",")])
     res = minimize_risk(_loss_spec(args), eta)
-    _emit(_json_text(res.to_json()), args.out)
+    _emit(_json_text(res), args.out)
     return 0 if res.converged else 2
 
 
@@ -180,7 +193,7 @@ def cmd_train(args):
     cfg = MLPConfig(seed=args.seed, epochs=args.epochs, lr=args.lr)
     model, history = train(cfg, _loss_spec(args), tr, te)
     if args.out_model:
-        _atomic_write(args.out_model, _json_text(model.to_json()))
+        _atomic_write(args.out_model, _json_text(model))
     if args.out_history:
         rows = [[r["epoch"], r["train_loss"], r["test_loss"], r["test_ece"],
                  r["test_nll"], r["test_error"]] for r in history.epochs]
@@ -222,14 +235,16 @@ def cmd_auroc(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and kept for the process."""
     ap = argparse.ArgumentParser(prog="focalcal",
                                  description="calibration toolkit CLI")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("metrics", help="full metric report as JSON")
     _add_input_flags(p)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--scheme", default="equal_width", choices=["equal_width", "equal_mass"])
     p.add_argument("--cwece-norm", dest="cwece_norm", default="global",
                    choices=["global", "per-class"])
@@ -238,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reliability", help="reliability-diagram table as CSV")
     _add_input_flags(p)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_reliability)
 
@@ -251,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", required=True)
     p.add_argument("--test")
     p.add_argument("--format", default="rows-json", choices=["rows-json", "rows-csv"])
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--t-min", dest="t_min", type=float, default=0.1)
     p.add_argument("--t-max", dest="t_max", type=float, default=10.0)
     p.add_argument("--t-step", dest="t_step", type=float, default=0.1)

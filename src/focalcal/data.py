@@ -170,10 +170,8 @@ def _numeric_array(vec, key: str, lineno: int, k) -> list:
     return vec
 
 
-def _read_rows_json(path, input_kind):
-    key = "probs" if input_kind == "probs" else "logits"
-    raw, labels, etas, linenos = [], [], [], []
-    k = None
+def _json_rows(path):
+    """(line number, object) for each nonblank line of a JSON-lines file."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -183,19 +181,29 @@ def _read_rows_json(path, input_kind):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"row {lineno}: invalid JSON ({exc})") from exc
-            if key not in obj:
-                raise DataFormatError(f"row {lineno}: missing {key!r}")
-            if not _is_int(obj.get("label")):
-                raise DataFormatError(f"row {lineno}: missing or non-integer label")
-            vec = _numeric_array(obj[key], key, lineno, k)
-            k = len(vec)
-            eta = obj.get("eta")
-            if etas and (eta is None) != (etas[0] is None):
-                raise DataFormatError(f"row {lineno}: eta present on some rows but not all")
-            raw.append(vec)
-            labels.append(obj["label"])
-            etas.append(None if eta is None else _numeric_array(eta, "eta", lineno, k))
-            linenos.append(lineno)
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"row {lineno}: not a JSON object")
+            yield lineno, obj
+
+
+def _read_rows_json(path, input_kind):
+    key = "probs" if input_kind == "probs" else "logits"
+    raw, labels, etas, linenos = [], [], [], []
+    k = None
+    for lineno, obj in _json_rows(path):
+        if key not in obj:
+            raise DataFormatError(f"row {lineno}: missing {key!r}")
+        if not _is_int(obj.get("label")):
+            raise DataFormatError(f"row {lineno}: missing or non-integer label")
+        vec = _numeric_array(obj[key], key, lineno, k)
+        k = len(vec)
+        eta = obj.get("eta")
+        if etas and (eta is None) != (etas[0] is None):
+            raise DataFormatError(f"row {lineno}: eta present on some rows but not all")
+        raw.append(vec)
+        labels.append(obj["label"])
+        etas.append(None if eta is None else _numeric_array(eta, "eta", lineno, k))
+        linenos.append(lineno)
     if not raw:
         raise DataFormatError("empty prediction log")
     return raw, labels, etas, linenos
@@ -313,24 +321,17 @@ def load_points(path) -> list[LabeledPoint]:
     """Points of a :func:`save_points` file; each error names its row's line."""
     points = []
     k = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                eta = np.asarray(obj["eta"], dtype=float) if "eta" in obj else None
-                x, label = obj["x"], obj["label"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataFormatError(f"row {lineno}: {exc}") from exc
-            if not _is_int(label):
-                raise DataFormatError(f"row {lineno}: missing or non-integer label")
-            x = _numeric_array(x, "x", lineno, k)
-            k = len(x)
-            if not all(map(math.isfinite, x)):
-                raise DataFormatError(f"row {lineno}: non-finite values in 'x'")
-            points.append(LabeledPoint(x=np.asarray(x, dtype=float), label=label, eta=eta))
+    for lineno, obj in _json_rows(path):
+        if not _is_int(obj.get("label")):
+            raise DataFormatError(f"row {lineno}: missing or non-integer label")
+        x = _numeric_array(obj.get("x"), "x", lineno, k)
+        k = len(x)
+        if not all(map(math.isfinite, x)):
+            raise DataFormatError(f"row {lineno}: non-finite values in 'x'")
+        eta = obj.get("eta")
+        if eta is not None:
+            eta = np.asarray(_numeric_array(eta, "eta", lineno, None), dtype=float)
+        points.append(LabeledPoint(x=np.asarray(x, dtype=float), label=obj["label"], eta=eta))
     if not points:
         raise DataFormatError("empty point file")
     return points

@@ -41,21 +41,6 @@ class LossSpec:
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must be in [0, 1)")
 
-    def to_json(self) -> dict:
-        out = {"family": self.family}
-        if self.family in ("focal", "fcl", "flsd53"):
-            out["gamma"] = self.gamma
-        if self.family == "fcl":
-            out["lambda"] = self.lam
-        if self.family == "label_smoothing":
-            out["alpha"] = self.alpha
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LossSpec":
-        return cls(family=obj["family"], gamma=obj.get("gamma", 0.0),
-                   lam=obj.get("lambda", 0.0), alpha=obj.get("alpha", 0.0))
-
 
 @dataclass(frozen=True)
 class LossEval:

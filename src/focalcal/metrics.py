@@ -84,7 +84,7 @@ class LipschitzWitness:
 class SmceResult:
     value: float
     witness: LipschitzWitness
-    duality_gap: float  # not serialized; see SMCE_GAP_TOL
+    duality_gap: float = field(metadata={"payload": False})  # see SMCE_GAP_TOL
 
 
 @dataclass
@@ -98,20 +98,7 @@ class MetricReport:
     brier: float
     error: float
     auroc: Optional[float] = None
-    bins: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        out = {
-            "ece": self.ece, "mce": self.mce, "adaece": self.adaece,
-            "cwece": self.cwece, "smce": self.smce, "nll": self.nll,
-            "brier": self.brier, "error": self.error, "auroc": self.auroc,
-            "bins": [
-                {"lo": b.lo, "hi": b.hi, "count": b.count,
-                 "accuracy": b.accuracy, "confidence": b.confidence}
-                for b in self.bins
-            ],
-        }
-        return out
+    bins: list = field(default_factory=list)  # BinSummary rows
 
 
 def _segment_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:

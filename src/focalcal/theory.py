@@ -39,11 +39,6 @@ class MinimizerResult:
     converged: bool
     kkt_residual: float
 
-    def to_json(self) -> dict:
-        return {"q_star": self.q_star.tolist(), "objective": self.objective,
-                "iterations": self.iterations, "converged": self.converged,
-                "kkt_residual": self.kkt_residual}
-
 
 @dataclass(frozen=True)
 class SigmaSpec:

@@ -8,6 +8,7 @@ so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._common import softmax
 from .calibrate import apply_temperature, temperature_scan
-from .data import LabeledPoint, PredictionSet, points_to_arrays
+from .data import DataFormatError, LabeledPoint, PredictionSet, _is_int, points_to_arrays
 from .losses import LossSpec, batch_logit_grads, batch_values
 from .metrics import (BinningConfig, adaece, classwise_ece, ece, score_metrics,
                       stacked_scores)
@@ -23,6 +24,8 @@ from .metrics import (BinningConfig, adaece, classwise_ece, ece, score_metrics,
 # epochs whose test logits are kept and then scored in one pass; bounds the
 # history buffer at HISTORY_CHUNK * n_test * K floats
 HISTORY_CHUNK = 64
+# train/validation/test shares of a point list
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 @dataclass(frozen=True)
@@ -52,41 +55,53 @@ class ModelState:
     biases: list   # per layer, shape (fan_out,)
     config: MLPConfig
 
-    def to_json(self) -> dict:
-        return {
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "config": {
-                "layers": list(self.config.layers),
-                "activation": self.config.activation,
-                "seed": self.config.seed,
-                "epochs": self.config.epochs,
-                "optimizer": self.config.optimizer,
-                "lr": self.config.lr,
-                "weight_decay": self.config.weight_decay,
-            },
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
     @classmethod
-    def from_json(cls, obj: dict) -> "ModelState":
-        cfg = obj["config"]
-        return cls(
-            weights=[np.asarray(w, dtype=float) for w in obj["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in obj["biases"]],
-            config=MLPConfig(layers=tuple(cfg["layers"]), activation=cfg["activation"],
-                             seed=cfg["seed"], epochs=cfg["epochs"],
-                             optimizer=cfg["optimizer"], lr=cfg["lr"],
-                             weight_decay=cfg["weight_decay"]),
-        )
+    def from_json(cls, obj) -> "ModelState":
+        """The model of a saved payload; raises DataFormatError unless every
+        array is finite and has the shape its config's layers give it."""
+        if not isinstance(obj, dict) or not {"weights", "biases", "config"} <= obj.keys():
+            raise DataFormatError("model file must be an object with 'weights', 'biases'"
+                                  " and 'config'")
+        config, fields = obj["config"], {f.name for f in dataclasses.fields(MLPConfig)}
+        if not isinstance(config, dict) or config.keys() != fields:
+            raise DataFormatError(f"model config must hold exactly {sorted(fields)}")
+        layers = config["layers"]
+        if not isinstance(layers, list) or not all(_is_int(n) and n >= 1 for n in layers):
+            raise DataFormatError("model layers must be a list of positive integers")
+        try:
+            cfg = MLPConfig(**{**config, "layers": tuple(layers)})
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"model config: {exc}") from exc
+        shapes = list(zip(layers[:-1], layers[1:]))
+        weights, biases = obj["weights"], obj["biases"]
+        if not (isinstance(weights, list) and isinstance(biases, list)
+                and len(weights) == len(biases) == len(shapes)):
+            raise DataFormatError(f"model needs {len(shapes)} weight and bias arrays"
+                                  f" for layers {layers}")
+        return cls(weights=[_model_array(w, f"weights[{i}]", shape)
+                            for i, (w, shape) in enumerate(zip(weights, shapes))],
+                   biases=[_model_array(b, f"biases[{i}]", shape[1:])
+                           for i, (b, shape) in enumerate(zip(biases, shapes))],
+                   config=cfg)
 
     @classmethod
     def load(cls, path) -> "ModelState":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _model_array(value, name: str, shape: tuple) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise DataFormatError(f"model {name}: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise DataFormatError(f"model {name} must be a numeric array")
+    if arr.shape != shape:
+        raise DataFormatError(f"model {name} has shape {arr.shape}, want {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DataFormatError(f"model {name} has non-finite entries")
+    return arr.astype(float)
 
 
 @dataclass
@@ -184,7 +199,7 @@ def _history_rows(spec: LossSpec, logits: np.ndarray, labels: np.ndarray, target
 
 
 def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
-          test_points: list[LabeledPoint], bins: int = 15):
+          test_points: list[LabeledPoint]):
     """Full-batch training; returns (ModelState, TrainHistory).
 
     History records per-epoch train/test loss and test ECE/NLL/error. Raises
@@ -212,7 +227,7 @@ def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     history = TrainHistory()
-    cfg_bins = BinningConfig(bins=bins)
+    cfg_bins = BinningConfig()
     test_logits, train_losses = [], []
     for epoch in range(1, cfg.epochs + 1):
         train_loss, gw, gb = loss_and_grads(model, spec, xs, targets)
@@ -236,12 +251,11 @@ def train(cfg: MLPConfig, spec: LossSpec, train_points: list[LabeledPoint],
     return model, history
 
 
-def split_points(points: list[LabeledPoint], seed: int,
-                 fractions=(0.6, 0.2, 0.2)) -> tuple[list, list, list]:
-    """Seeded shuffle into train/val/test."""
+def split_points(points: list[LabeledPoint], seed: int) -> tuple[list, list, list]:
+    """Seeded shuffle into train/val/test by SPLIT_FRACTIONS."""
     idx = np.random.default_rng(seed).permutation(len(points))
-    n_train = int(round(fractions[0] * len(points)))
-    n_val = int(round(fractions[1] * len(points)))
+    n_train = int(round(SPLIT_FRACTIONS[0] * len(points)))
+    n_val = int(round(SPLIT_FRACTIONS[1] * len(points)))
     tr = [points[i] for i in idx[:n_train]]
     va = [points[i] for i in idx[n_train:n_train + n_val]]
     te = [points[i] for i in idx[n_train + n_val:]]
@@ -268,8 +282,7 @@ def decision_grid(model: ModelState, bounds, resolution: int) -> tuple[np.ndarra
     return points, softmax(forward(model, points), axis=1)
 
 
-def lambda_sweep(cfg: MLPConfig, gammas, lambdas, points: list[LabeledPoint],
-                 bins: int = 15) -> list[dict]:
+def lambda_sweep(cfg: MLPConfig, gammas, lambdas, points: list[LabeledPoint]) -> list[dict]:
     """Train one FCL model per (gamma, lambda); report pre/post-T metrics.
 
     The point list is split 60/20/20 into train/val/test with the config
@@ -280,12 +293,12 @@ def lambda_sweep(cfg: MLPConfig, gammas, lambdas, points: list[LabeledPoint],
     tr, va, te = split_points(points, cfg.seed)
     xv, yv, _ = points_to_arrays(va)
     xt, yt, _ = points_to_arrays(te)
-    cfg_bins = BinningConfig(bins=bins)
+    cfg_bins = BinningConfig()
     rows = []
     for gamma in gammas:
         for lam in lambdas:
             spec = LossSpec(family="fcl", gamma=float(gamma), lam=float(lam))
-            model, _ = train(cfg, spec, tr, te, bins=bins)
+            model, _ = train(cfg, spec, tr, te)
             val_set = predictions(model, xv, yv)
             scan = temperature_scan(val_set, cfg_bins)
             test_set = predictions(model, xt, yt)

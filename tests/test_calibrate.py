@@ -12,6 +12,7 @@ from focalcal._common import newton_root, newton_root_scalar
 from focalcal.calibrate import (CONVEX_FAMILIES, PGAP_KKT_TOL, ConvergenceError, PGapResult,
                                 PostProcessMap, apply_temperature, pgap,
                                 temperature_grid, temperature_scan)
+from focalcal.cli import _payload
 from focalcal.data import PredictionSet, load_predictions
 from focalcal.losses import LossSpec
 from focalcal.metrics import BinningConfig, ece
@@ -106,7 +107,8 @@ class TestTemperatureScan:
         ps = logit_set(np.zeros((2, 2)), [0, 1])
         scan = temperature_scan(ps)
         assert len(scan.grid) == 100
-        assert any(t == scan.best_t for t, _ in scan.grid)
+        assert any(row["t"] == scan.best_t for row in scan.grid)
+        assert all(row.keys() == {"t", "ece"} for row in scan.grid)
 
 
 class TestPostProcessMap:
@@ -241,7 +243,7 @@ class TestPgap:
 
     def test_json_round_trip_keys(self):
         res = pgap(binary_set([0.3, 0.6], [0, 1]), LossSpec(family="brier"))
-        out = res.to_json()
+        out = _payload(res)
         assert set(out) == {"raw_risk", "optimized_risk", "pgap", "map"}
         assert set(out["map"]) == {"knots", "kappa"}
 

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 from focalcal.calibrate import ConvergenceError
-from focalcal.cli import _csv, run
+import focalcal.cli as cli
+from focalcal.cli import _csv, _json_text, _payload, run
 
 HERE = pathlib.Path(__file__).resolve().parent
 FIX = HERE / "fixtures"
@@ -205,6 +208,58 @@ class TestExitCodes:
         points.write_text("".join(json.dumps(row) + "\n" for row in rows))
         rc, _, err = run_capture(["train", "--data", str(points), "--epochs", "3"])
         assert rc == 1 and err == "error: label out of range\n"
+
+    @pytest.mark.parametrize("row", ["5", "null", "[0.5, 0.5]", '"xprobsx"'],
+                             ids=["number", "null", "array", "string"])
+    def test_non_object_log_row(self, tmp_path, row):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"probs": [0.4, 0.6], "label": 1}\n\n' + row + "\n")
+        rc, _, err = run_capture(["metrics", "--input", str(log)])
+        assert rc == 1 and err == "error: row 3: not a JSON object\n"
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("7", "not a JSON object"),
+        ('{"x": [0.5, 0.3], "label": 1, "eta": "ab"}', "'eta' must be a numeric array"),
+        ('{"label": 1}', "'x' must be a numeric array"),
+        ('{"x": [0.5, 0.3]', "invalid JSON"),
+    ], ids=["number", "string eta", "missing x", "invalid JSON"])
+    def test_bad_point_file_row(self, tmp_path, bad_row, message):
+        points = tmp_path / "points.jsonl"
+        points.write_text('{"x": [0.1, 0.3], "label": 0}\n' + bad_row + "\n")
+        rc, _, err = run_capture(["train", "--data", str(points), "--epochs", "3"])
+        assert rc == 1 and err.startswith(f"error: row 2: {message}") and "Traceback" not in err
+
+    # a whole file, or an edit in place of the fixture model (layers (2, 10, 10, 2))
+    # that breaks one check of ModelState.from_json
+    @pytest.mark.parametrize("edit, message", [
+        ({"weights": []}, "model file must be an object"),
+        ([1, 2], "model file must be an object"),
+        (lambda m: m["weights"][1][4].__setitem__(3, math.nan),
+         "model weights[1] has non-finite entries"),
+        (lambda m: m["config"].pop("seed"), "model config must hold exactly"),
+        (lambda m: m["config"].__setitem__("depth", 3), "model config must hold exactly"),
+        (lambda m: m["config"].__setitem__("layers", [2, 10, 0, 2]),
+         "model layers must be a list of positive integers"),
+        (lambda m: m["config"].__setitem__("activation", "gelu"), "model config: "),
+        (lambda m: m["biases"].pop(), "model needs 3 weight and bias arrays"),
+        (lambda m: m["weights"][0].pop(), "model weights[0] has shape (1, 10), want (2, 10)"),
+        (lambda m: m["biases"][2].append(0.0), "model biases[2] has shape (3,), want (2,)"),
+        (lambda m: m["weights"][2].__setitem__(0, "ab"), "model weights[2]"),
+        (lambda m: m["biases"][0].__setitem__(0, None), "model biases[0] must be a numeric array"),
+    ], ids=["missing keys", "array", "nan weight", "missing config field", "extra config field",
+            "zero width", "activation", "array count", "weight shape", "bias shape",
+            "ragged weight", "null bias"])
+    def test_bad_model_file(self, tmp_path, edit, message):
+        model = edit
+        if callable(edit):
+            model = json.loads((FIX / "model.json").read_text())
+            edit(model)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc, _, err = run_capture(["boundary", "--model", str(path), "--resolution", "3",
+                                  "--out", str(tmp_path / "b.csv")])
+        assert rc == 1 and err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "b.csv").exists()
 
     def test_nan_auroc_score(self, tmp_path):
         pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
@@ -413,3 +468,46 @@ class TestCsv:
             for row in rows)
         assert _csv(["a", "count", "b"], rows) == want
         assert want.splitlines()[1].startswith("nan,100000000000000000,")
+
+
+@dataclasses.dataclass
+class _Inner:
+    values: np.ndarray
+    hidden: float = dataclasses.field(default=0.0, metadata={"payload": False})
+
+
+@dataclasses.dataclass
+class _Outer:
+    name: str
+    inner: _Inner
+    rows: list
+    matrix: np.ndarray
+    pair: tuple
+    score: float
+
+
+class TestPayload:
+    def test_fields_arrays_and_sequences(self):
+        obj = _Outer(name="a", inner=_Inner(np.array([0.5, math.nan]), hidden=1.0),
+                     rows=[_Inner(np.array([1.0])), {"t": 0.1, "ece": 0.2}],
+                     matrix=np.arange(6.0).reshape(2, 3), pair=(1, 2.5), score=math.nan)
+        out = _payload(obj)
+        assert list(out) == ["name", "inner", "rows", "matrix", "pair", "score"]
+        assert out["inner"].keys() == {"values"}
+        assert out["inner"]["values"][0] == 0.5 and math.isnan(out["inner"]["values"][1])
+        assert out["rows"] == [{"values": [1.0]}, {"t": 0.1, "ece": 0.2}]
+        assert out["matrix"] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert out["pair"] == [1, 2.5] and math.isnan(out["score"])
+        assert '"score": NaN' in _json_text(obj)
+
+
+def test_two_runs_build_one_parser(monkeypatch):
+    cli.build_parser.cache_clear()
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **kw: parsers.append(self) or parse_args(self, *a, **kw))
+    for _ in range(2):
+        assert run_capture(["sigma-root", "--gamma", "0", "--lambda", "1"])[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert cli.build_parser.cache_info().misses == 1

@@ -1,5 +1,8 @@
 """Every module-level import in the package is used, every private top-level
-function or class is referenced, and no import names scipy.
+function or class is referenced, and no import names scipy. No module
+defines a ``to_json``: the CLI's one serializer, ``cli._payload``, turns
+result dataclasses into JSON, and in the CLI only ``_json_text`` (which
+applies it) and the config echo call ``json.dump``/``json.dumps``.
 
 A name bound by a top-level ``import`` or ``from ... import`` counts as used
 if it is read anywhere in the module or listed in its ``__all__``. A private
@@ -79,6 +82,35 @@ def test_checker_flags_an_unreferenced_private_def():
 
 def test_no_unreferenced_private_defs():
     assert unreferenced_private_defs({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def hand_written_json(source: str, dumpers=()) -> list[str]:
+    """``line N: ...`` for each ``to_json`` defined anywhere in ``source``, and
+    each ``json.dump``/``json.dumps`` call outside the top-level functions ``dumpers``."""
+    tree = ast.parse(source)
+    found = [(n.lineno, "def to_json") for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "to_json"]
+    for node in tree.body:
+        if getattr(node, "name", None) not in dumpers:
+            found += [(n.lineno, f"json.{n.func.attr}") for n in ast.walk(node)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and isinstance(n.func.value, ast.Name) and n.func.value.id == "json"
+                      and n.func.attr in ("dump", "dumps")]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_flags_to_json_and_stray_dumps():
+    src = ("import json\nclass R:\n    def to_json(self):\n        return {}\n"
+           "def _json_text(obj):\n    return json.dumps(obj)\n"
+           "def save(obj, fh):\n    json.dump(obj, fh)\n")
+    assert hand_written_json(src, ("_json_text",)) == ["line 3: def to_json", "line 8: json.dump"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_hand_written_json(path):
+    # data.save_points writes point files, one compact JSON object per line
+    dumpers = {"cli.py": ("_json_text", "_print_config"), "data.py": ("save_points",)}
+    assert hand_written_json(path.read_text(), dumpers.get(path.name, ())) == []
 
 
 def scipy_imports(source: str) -> list[str]:

@@ -10,6 +10,7 @@ from conftest import (_width_bin_masks, naive_adaece, naive_cwece, naive_ece_mce
                       smce_bruteforce, smce_lp)
 from focalcal import metrics
 from focalcal._common import ConvergenceError
+from focalcal.cli import _payload
 from focalcal.data import PredictionSet
 from focalcal.metrics import (BinningConfig, LipschitzWitness, adaece, auroc,
                               bin_predictions, classwise_ece, compute_report,
@@ -466,7 +467,7 @@ class TestReport:
         assert abs(rep.cwece - naive_cwece(probs, labels, 15)) < 1e-12
 
     def test_json_keys(self):
-        out = compute_report(PERFECT).to_json()
+        out = _payload(compute_report(PERFECT))
         assert set(out) == {"ece", "mce", "adaece", "cwece", "smce", "nll",
                             "brier", "error", "auroc", "bins"}
         assert set(out["bins"][0]) == {"lo", "hi", "count", "accuracy", "confidence"}

@@ -9,6 +9,7 @@ from conftest import definition_risk, simplex_minimizer_slsqp
 from focalcal import theory
 from focalcal._common import newton_root, newton_root_scalar
 from focalcal.calibrate import ConvergenceError
+from focalcal.cli import _payload
 from focalcal.losses import LossSpec, eval_loss
 from focalcal.theory import (KKT_TOL, MinimizerResult, SigmaSpec, _kkt_residual, _risk_terms,
                              minimize_risk, oc_uc_bound, optimal_curve,
@@ -109,7 +110,7 @@ class TestMinimizeRisk:
 
     def test_json_keys(self):
         res = minimize_risk(LossSpec(family="ce"), [0.4, 0.6])
-        assert set(res.to_json()) == {"q_star", "objective", "iterations",
+        assert set(_payload(res)) == {"q_star", "objective", "iterations",
                                       "converged", "kkt_residual"}
 
 
@@ -123,8 +124,14 @@ SIMPLEX_SPECS = [LossSpec(family="ce"), LossSpec(family="label_smoothing", alpha
                  LossSpec(family="fcl", gamma=5.0, lam=1.5)]
 
 
+# the parameters each family reads, in the order of a test id
+SPEC_PARAMS = {"focal": ("gamma",), "flsd53": ("gamma",), "fcl": ("gamma", "lam"),
+               "label_smoothing": ("alpha",)}
+
+
 def spec_id(spec):
-    return "-".join(map(str, spec.to_json().values()))
+    params = SPEC_PARAMS.get(spec.family, ())
+    return "-".join([spec.family] + [str(getattr(spec, p)) for p in params])
 
 
 def simplex_etas():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from focalcal._common import softmax
+from focalcal.cli import _json_text
 from focalcal.data import LabeledPoint, SyntheticConfig, generate, points_to_arrays
 from focalcal.losses import FAMILIES, LossSpec, batch_values
 from focalcal.metrics import BinningConfig, ece, score_metrics
@@ -46,7 +47,7 @@ class TestModelState:
     def test_serialization_bit_exact(self, tmp_path):
         model = init_model(MLPConfig(seed=3))
         path = tmp_path / "m.json"
-        model.save(path)
+        path.write_text(_json_text(model))
         back = ModelState.load(path)
         for a, b in zip(model.weights, back.weights):
             assert np.array_equal(a, b)
