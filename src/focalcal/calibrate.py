@@ -114,36 +114,42 @@ def temperature_scan(val: PredictionSet, cfg: BinningConfig = BinningConfig(),
                                  post_ece=best["ece"])
 
 
-def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray):
-    """Loss, first and second derivative at class-1 probability ``kappa``.
+def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray, order: int = 0) -> list:
+    """(label 1, label 0) pairs of the loss or its derivatives at class-1 probability ``kappa``.
 
-    Returns (l1, l0, d1, d0, h1, h0) over a 1-D ``kappa``: values/derivatives
-    for label 1 and 0. Label 1 scores the focal term at kappa and label 0 at
-    1 - kappa; ce is the focal term with gamma = 0.
+    ``order`` 0 gives [(l1, l0)], the values over a 1-D ``kappa``; 1 gives
+    [(d1, d0)], the first derivatives, and 2 gives [(d1, d0), (h1, h0)],
+    the first and second, with no values computed. Label 1 scores the focal
+    term at kappa and label 0 at 1 - kappa; ce is the focal term with gamma = 0.
     """
     # keep the fractional powers real-valued for arguments a hair outside [0, 1]
-    p = np.clip(kappa, 0.0, 1.0)
+    p = kappa.clip(0.0, 1.0)
     q = 1.0 - p
+    orders = range(min(order, 1), order + 1)
     if spec.family == "brier":
         # sum over both classes: 2 (p - y)^2
-        return (2.0 * q ** 2, 2.0 * p ** 2, -4.0 * q, 4.0 * p,
-                np.full_like(p, 4.0), np.full_like(p, 4.0))
+        return [(2.0 * q ** 2, 2.0 * p ** 2) if k == 0 else (-4.0 * q, 4.0 * p) if k == 1
+                else (np.full_like(p, 4.0), np.full_like(p, 4.0)) for k in orders]
     gamma = 0.0 if spec.family == "ce" else spec.gamma
+    lam = spec.lam if spec.family == "fcl" else 0.0
     # one call for both labels: the terms are elementwise, so the bits are
     # those of two separate calls
     m = len(p)
-    (l1, l0), (d1, d0), (h1, h0) = ((phi[:m], phi[m:]) for phi in
-                                    focal_phi(np.concatenate([p, q]), gamma, 2))
-    d0 = -d0  # chain rule through q = 1 - kappa
-    if spec.family == "fcl" and spec.lam > 0.0:
-        lam = spec.lam
-        l1 = l1 + lam * 2.0 * q ** 2
-        l0 = l0 + lam * 2.0 * p ** 2
-        d1 = d1 - lam * 4.0 * q
-        d0 = d0 + lam * 4.0 * p
-        h1 = h1 + lam * 4.0
-        h0 = h0 + lam * 4.0
-    return l1, l0, d1, d0, h1, h0
+    phi = focal_phi(np.concatenate([p, q]), gamma, order)
+    out = []
+    for k in orders:
+        t1, t0 = phi[k][:m], phi[k][m:]
+        if k == 1:
+            t0 = -t0  # chain rule through q = 1 - kappa
+        if lam > 0.0:
+            if k == 0:
+                t1, t0 = t1 + lam * 2.0 * q ** 2, t0 + lam * 2.0 * p ** 2
+            elif k == 1:
+                t1, t0 = t1 - lam * 4.0 * q, t0 + lam * 4.0 * p
+            else:
+                t1, t0 = t1 + lam * 4.0, t0 + lam * 4.0
+        out.append((t1, t0))
+    return out
 
 
 def _unit_minimizers(slope_at, x: np.ndarray):
@@ -177,8 +183,9 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Minimize sum_j f_j(kappa_j) over 0 <= kappa_{j+1} - kappa_j <= w_j, kappa in [0, 1].
 
     Each f_j is convex; ``slope_at(idx, x)`` returns per-knot arrays
-    (f_i'(x_i), f_i''(x_i)) over knots ``idx`` at points ``x``; ``start``
-    holds a first guess for each knot on its own.
+    (f_i'(x_i), f_i''(x_i)) over knots ``idx`` (an index array or a slice)
+    at the float array ``x``; ``start`` holds a first guess for each knot
+    on its own.
 
     The first phase finds every knot's own minimizer r_j over [0, 1] at once
     (``_unit_minimizers``); it does not depend on the chain. The second, a
@@ -193,28 +200,30 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
     y_j lies between r_j and the end of that link: ``newton_root_scalar``
     finds it, starting from the merged block's linearization, with the
     block's terms summed by ``math.fsum`` so the bits do not depend on their
-    order.
+    order. A block is a run of consecutive knots, so each Newton pass walks
+    it in Python once for its points and hands ``slope_at`` a slice and one
+    array of them; ``slope_at`` evaluates derivatives only.
     Backtracking from y_{m-1} through the clips then gives the minimizer.
     """
     ws = w.tolist()
     ys: list[float] = []
     hs: list[float] = []  # V_j'' near y_j, for first guesses only
 
-    def slope(idx, pts):
-        g, h = slope_at(idx, pts)
+    def slope(block, pts):
+        g, h = slope_at(block, pts)
         return math.fsum(g.tolist()), math.fsum(h.tolist())
 
     def level(j, x):
-        idx, pts = [j], [x]
+        # the block's points, from knot j back to its first knot
+        pts = [x]
         for i in range(j - 1, -1, -1):
-            y = ys[i]
-            if y < x - ws[i]:
-                x = x - ws[i]
+            y, stretched = ys[i], x - ws[i]
+            if y < stretched:
+                x = stretched
             elif y <= x:
                 break
-            idx.append(i)
             pts.append(x)
-        return slope(idx, pts)
+        return slope(slice(j + 1 - len(pts), j + 1), np.array(pts[::-1]))
 
     own, own_h = _unit_minimizers(slope_at, start)
     for j, (y, h) in enumerate(zip(own.tolist(), own_h.tolist())):
@@ -232,7 +241,7 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
             search = False  # link slack at y: V_j' = f_j' there
         if search:
             # first guess: knot j merged into the block ending at j-1
-            g, h = slope([j], [edge])
+            g, h = slope(slice(j, j + 1), np.array([edge]))
             y, h = newton_root_scalar(functools.partial(level, j), lo, hi,
                                       edge - g / (h + hs[-1]))
         ys.append(y)
@@ -284,16 +293,16 @@ def pgap(pset: PredictionSet, spec: LossSpec) -> PGapResult:
     w = 2.0 * np.diff(knots)
 
     def risk(kappa):
-        l1, l0, *_ = _binary_loss_terms(spec, kappa)
+        (l1, l0), = _binary_loss_terms(spec, kappa)
         return math.fsum((n1 * l1 + n0 * l0).tolist()) / pset.n
 
-    def slope_at(idx, x):
-        _, _, d1, d0, h1, h0 = _binary_loss_terms(spec, np.asarray(x, dtype=float))
-        a, b = n1[idx], n0[idx]
+    def slope_at(block, x):
+        (d1, d0), (h1, h0) = _binary_loss_terms(spec, x, 2)
+        a, b = n1[block], n0[block]
         return a * d1 + b * d0, a * h1 + b * h0
 
     kappa = _solve_chain(slope_at, w, knots)
-    _, _, d1, d0, _, _ = _binary_loss_terms(spec, kappa)
+    (d1, d0), = _binary_loss_terms(spec, kappa, 1)
     grad = (n1 * d1 + n0 * d0) / pset.n
     residual = _chain_kkt_residual(grad, kappa, w)
     if not residual <= PGAP_KKT_TOL * (1.0 + float(np.abs(grad).sum())):

@@ -1,4 +1,6 @@
 import functools
+import json
+import math
 import pathlib
 
 import numpy as np
@@ -95,6 +97,19 @@ class TestTemperatureScan:
         scan = temperature_scan(ps)
         assert scan.post_ece == ece(apply_temperature(ps, scan.best_t), BinningConfig())
 
+    def test_grid_point_one_does_not_reuse_the_loaded_rows(self, tmp_path):
+        # the loader renormalizes each softmax row, which moves this set's ECE
+        # by an ulp, so the T = 1 point scores softmax(logits / 1) afresh
+        rng = np.random.default_rng(3)
+        z, labels = rng.normal(size=(60, 4)) * 3.0, rng.integers(0, 4, size=60)
+        path = tmp_path / "val.jsonl"
+        path.write_text("".join(json.dumps({"logits": row, "label": int(y)}) + "\n"
+                                for row, y in zip(z.tolist(), labels)))
+        val = load_predictions(str(path), input_kind="logits")
+        scan = temperature_scan(val)
+        assert scan.pre_ece == ece(apply_temperature(val, 1.0), BinningConfig())
+        assert scan.pre_ece != ece(val, BinningConfig())
+
     def test_post_le_pre(self):
         rng = np.random.default_rng(9)
         for seed in range(5):
@@ -132,13 +147,18 @@ class TestBinaryLossTerms:
 
     # ce ignores gamma, which the CLI always passes
     @pytest.mark.parametrize("spec", [LossSpec(family="ce", gamma=3.0),
+                                      LossSpec(family="brier"),
                                       LossSpec(family="focal", gamma=0.5),
                                       LossSpec(family="focal", gamma=2.0),
                                       LossSpec(family="fcl", gamma=3.0, lam=0.5)],
-                             ids=["ce", "focal0.5", "focal2", "fcl"])
+                             ids=["ce", "brier", "focal0.5", "focal2", "fcl"])
     def test_matches_oracle(self, spec):
         k, h = self.KAPPA, 1e-5
-        l1, l0, d1, d0, h1, h0 = calibrate._binary_loss_terms(spec, k)
+        (l1, l0), = calibrate._binary_loss_terms(spec, k)
+        (d1, d0), (h1, h0) = calibrate._binary_loss_terms(spec, k, 2)
+        # order 1 gives the first derivatives of order 2, bit for bit
+        (g1, g0), = calibrate._binary_loss_terms(spec, k, 1)
+        assert g1.tobytes() == d1.tobytes() and g0.tobytes() == d0.tobytes()
         for label, (val, d, dd) in ((1, (l1, d1, h1)), (0, (l0, d0, h0))):
             f = lambda x: _binary_loss_at(spec, x, label)  # noqa: E731
             assert np.allclose(val, f(k), rtol=1e-13, atol=0.0)
@@ -249,9 +269,9 @@ class TestPgap:
 
 
 def knot_slopes(spec, n1, n0):
-    """Per-knot (f', f'') arrays of the pgap objective, as pgap builds them."""
+    """Per-knot (f', f'') arrays of the pgap objective over index lists."""
     def slope_at(idx, x):
-        _, _, d1, d0, h1, h0 = calibrate._binary_loss_terms(spec, np.asarray(x, dtype=float))
+        (d1, d0), (h1, h0) = calibrate._binary_loss_terms(spec, np.asarray(x, dtype=float), 2)
         return n1[idx] * d1 + n0[idx] * d0, n1[idx] * h1 + n0[idx] * h0
     return slope_at
 
@@ -344,7 +364,7 @@ def test_pgap_loss_evaluations(monkeypatch):
     calls = []
     terms = calibrate._binary_loss_terms
     monkeypatch.setattr(calibrate, "_binary_loss_terms",
-                        lambda spec, kappa: calls.append(1) or terms(spec, kappa))
+                        lambda spec, kappa, order=0: calls.append(1) or terms(spec, kappa, order))
     res = pgap(seeded_pgap_set(12), LossSpec(family="fcl", gamma=3.0, lam=0.5))
     assert res.map.knots.size == 500
     assert len(calls) == 2990
@@ -360,6 +380,79 @@ def pgap_cases(draw):
     spec = LossSpec(family=draw(st.sampled_from(CONVEX_FAMILIES)),
                     gamma=draw(st.floats(0.0, 4.0)), lam=draw(st.floats(0.0, 2.0)))
     return binary_set(p1, labels), spec
+
+
+def reference_solve_chain(slope_at, w, start):
+    """The chain solver's forward pass over index lists, one knot at a time: the
+    oracle of its block slices. ``slope_at(idx, x)`` takes a list of knots."""
+    ws = w.tolist()
+    ys, hs = [], []
+
+    def slope(idx, pts):
+        g, h = slope_at(idx, pts)
+        return math.fsum(g.tolist()), math.fsum(h.tolist())
+
+    def level(j, x):
+        idx, pts = [j], [x]
+        for i in range(j - 1, -1, -1):
+            y = ys[i]
+            if y < x - ws[i]:
+                x = x - ws[i]
+            elif y <= x:
+                break
+            idx.append(i)
+            pts.append(x)
+        return slope(idx, pts)
+
+    own, own_h = calibrate._unit_minimizers(slope_at, start)
+    for j, (y, h) in enumerate(zip(own.tolist(), own_h.tolist())):
+        if j and ys[-1] < y - ws[j - 1]:
+            lo = edge = ys[-1] + ws[j - 1]
+            hi = y
+            search = y < 1.0 or level(j, 1.0)[0] > 0.0
+        elif j and ys[-1] > y:
+            lo, hi = y, ys[-1]
+            edge = hi
+            search = y > 0.0 or level(j, 0.0)[0] < 0.0
+        else:
+            search = False
+        if search:
+            g, h = slope([j], [edge])
+            y, h = newton_root_scalar(functools.partial(level, j), lo, hi,
+                                      edge - g / (h + hs[-1]))
+        ys.append(y)
+        hs.append(h)
+
+    kappa = np.empty(len(ys))
+    x = kappa[-1] = ys[-1]
+    for i in range(len(ys) - 2, -1, -1):
+        x = kappa[i] = min(max(ys[i], x - ws[i]), x)
+    return kappa
+
+
+def reference_kappa(pset, spec):
+    """pgap's map by ``reference_solve_chain``."""
+    knots, inverse = np.unique(pset.probs[:, 1], return_inverse=True)
+    n1 = np.bincount(inverse, weights=pset.labels == 1, minlength=knots.size)
+    n0 = np.bincount(inverse, weights=pset.labels == 0, minlength=knots.size)
+    return reference_solve_chain(knot_slopes(spec, n1, n0), 2.0 * np.diff(knots), knots)
+
+
+class TestChainSolverOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("spec", [LossSpec(family="ce"), LossSpec(family="brier"),
+                                      LossSpec(family="focal", gamma=2.0),
+                                      LossSpec(family="fcl", gamma=3.0, lam=0.5)],
+                             ids=["ce", "brier", "focal", "fcl"])
+    def test_seeded_sets_bit_for_bit(self, spec, seed):
+        ps = seeded_pgap_set(seed)
+        assert pgap(ps, spec).map.kappa.tobytes() == reference_kappa(ps, spec).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pgap_cases())
+    def test_cases_bit_for_bit(self, case):
+        ps, spec = case
+        assert pgap(ps, spec).map.kappa.tobytes() == reference_kappa(ps, spec).tobytes()
 
 
 class TestPgapProperties:

@@ -511,3 +511,19 @@ def test_two_runs_build_one_parser(monkeypatch):
         assert run_capture(["sigma-root", "--gamma", "0", "--lambda", "1"])[0] == 0
     assert len(parsers) == 2 and parsers[0] is parsers[1]
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_temp_scale_softmax_calls(monkeypatch, tmp_path):
+    # one per log at load, one per grid point, and one for the test set at
+    # the best T; the T = 1 point cannot reuse the load, which renormalizes
+    import focalcal.calibrate
+    import focalcal.data
+    calls = []
+    softmax = focalcal.data.softmax
+    for module in (focalcal.calibrate, focalcal.data):
+        monkeypatch.setattr(module, "softmax",
+                            lambda z, axis=-1: calls.append(1) or softmax(z, axis=axis))
+    rc, _, _ = run_capture(["temp-scale", "--val", str(FIX / "logits_val.jsonl"),
+                            "--test", str(FIX / "logits_test.jsonl"),
+                            "--out", str(tmp_path / "t.json")])
+    assert rc == 0 and len(calls) == 1 + 100 + 1 + 1

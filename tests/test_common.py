@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalcal import _common
-from focalcal._common import _probe, _probe_args, _reversed, as_simplex, libm, softmax
+from focalcal._common import (_libm_map, _probe, _probe_args, _reversed, as_simplex, libm,
+                              softmax)
 
 # numpy's AVX-512 exp gives 0.9971444573829081 here; libm gives ...908
 DRIFT_ARG = -0.0028596274570539502
@@ -46,6 +47,11 @@ class TestLibm:
         assert np.array_equal(libm(math.pow, x, 2.0), x * x)
         assert np.array_equal(libm(math.pow, x, np.asarray(0.5)), np.sqrt(x))
         assert np.array_equal(libm(math.pow, x, -1.0), 1.0 / x)
+        # pow(x, 1) is x in libm too, edge values included
+        y = np.concatenate([x, -x, [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308]])
+        one = libm(math.pow, y, 1.0)
+        assert not np.shares_memory(one, y)
+        assert one.tobytes() == math_map(math.pow, y, np.float64(1.0)).tobytes() == y.tobytes()
 
     def test_domain_edges_follow_numpy(self):
         with np.errstate(all="ignore"):
@@ -109,6 +115,25 @@ class TestReversedRoute:
                        lambda a: a.reshape(-1)[::-1],
                        lambda a: a[:, ::3]):
             assert_libm_bits(fn, [layout(a) if np.ndim(a) else a for a in grids])
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_views_and_read_only_arrays(self, name):
+        # the layouts that reach the ufunc without a copy, each also beside a 0-d exponent
+        fn, args = seeded_args(name, np.random.default_rng(25), 4000)
+
+        def read_only(a):
+            a = a.copy()
+            a.flags.writeable = False
+            return a
+
+        for layout in (lambda a: a[3:-37], lambda a: a[::2], read_only):
+            views = [layout(a) if np.ndim(a) else np.asarray(a) for a in args]
+            cases = [views] + ([[views[0], np.asarray(2.7)]] if fn is math.pow else [])
+            for case in cases:
+                out = libm(fn, *case)
+                assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+                assert not any(np.shares_memory(out, a) for a in case)
+                assert out.tobytes() == _libm_map(fn, case).tobytes()
 
     def test_broadcast(self):
         rng = np.random.default_rng(21)
