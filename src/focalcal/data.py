@@ -43,10 +43,10 @@ class SyntheticConfig:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("need at least 2 samples")
-        if self.noise < 0.0:
-            raise ValueError("noise must be >= 0")
-        if self.class_sep < 0.0:
-            raise ValueError("class_sep must be >= 0")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and >= 0")
+        if not 0.0 <= self.class_sep < math.inf:
+            raise ValueError("class_sep must be finite and >= 0")
 
 
 @dataclass(frozen=True)

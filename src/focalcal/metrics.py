@@ -8,7 +8,9 @@ The smooth calibration error pools all (predicted value, residual) pairs over
 samples and classes and maximizes the weighted sum of a 1-Lipschitz witness
 bounded in [-1, 1]. On the sorted pooled values that is a linear program on a
 chain, solved exactly by a slope-trick dynamic program (Hu, Jambulapati, Tian
-& Yang, arXiv 2402.13187) and certified by a duality gap.
+& Yang, arXiv 2402.13187) and certified by the closed-form dual flow g = S, the
+prefix sums of the pooled residuals, with bound sum_i d_i |S_i| + |S_{m-1}|.
+It takes probability rows only: entries in [0, 1], each row summing to one.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ DEFAULT_BINS = 15
 
 # smce fails above this duality gap, relative to 1 + sum_i |w_i|
 SMCE_GAP_TOL = 1e-9
-# witness links and values closer than this to a bound count as tight
-_LINK_TOL = 1e-12
 # slopes within this of each other, relative to max |w|, count as equal
 _TIE_TOL = 1e-13
 
@@ -84,7 +84,7 @@ class LipschitzWitness:
 class SmceResult:
     value: float
     witness: LipschitzWitness
-    duality_gap: float = field(metadata={"payload": False})  # see SMCE_GAP_TOL
+    duality_gap: float = field(metadata={"payload": False})  # sum d_i|S_i| + |S_{m-1}| - w.x
 
 
 @dataclass
@@ -245,9 +245,11 @@ def _max_chain(w: np.ndarray, knots: np.ndarray) -> np.ndarray:
     come back: a stack whose last one lies there is empty as far as V is
     concerned, and clipping to [-1, 1] needs no breakpoint of its own.
 
-    The pooled residuals sum to zero, so many witnesses are optimal, and
-    rounding in the weights would pick among them. Hence slopes within
-    _TIE_TOL * max |w| of each other count as equal.
+    smce passes probability rows only, so the pooled residuals sum to zero,
+    many witnesses are optimal, and rounding in the weights would pick among
+    them. Hence slopes within _TIE_TOL * max |w| of each other count as
+    equal. smce certifies the result with the prefix sums S of w as dual
+    flow, whose bound is sum_i d_i |S_i| + |S_{m-1}|.
 
     The backtrack takes x_{m-1} = hi_{m-1} and x_i = clip(hi_i, x_{i+1} - d_i,
     x_{i+1} + d_i): the greatest maximizer of V_i within reach of x_{i+1}.
@@ -292,59 +294,20 @@ def _max_chain(w: np.ndarray, knots: np.ndarray) -> np.ndarray:
     return np.array(values[::-1])
 
 
-def _duality_gap(w: np.ndarray, knots: np.ndarray, x: np.ndarray) -> float:
-    """D(g) - sum_i w_i x_i for a flow g recovered from ``x`` by complementary slackness.
-
-    For any g with g_{-1} = g_{m-1} = 0, sum_i w_i x_i equals
-    sum_i r_i x_i - sum_i g_i (x_{i+1} - x_i) with r_i = w_i + g_{i-1} - g_i,
-    so the value is at most D(g) = sum_i |r_i| + sum_i d_i |g_i|, with
-    equality iff r_i > 0 only where x_i = 1, r_i < 0 only where x_i = -1,
-    g_i > 0 only where x_{i+1} - x_i = -d_i and g_i < 0 only where it is
-    d_i. A forward scan keeps the interval [lo_i, hi_i] of g_i values that
-    a prefix meeting those conditions can reach; where the conditions
-    clash (rounding, or a witness that is not optimal) the interval shrinks
-    to the point nearest to them. Going back from g_{m-1} = 0, each g_{i-1}
-    is the point of its interval nearest to g_i - w_i. Whatever g results,
-    D(g) bounds the optimum, so a small gap proves ``x`` optimal.
-    """
-    inf = math.inf
-    ws, dk, step = w.tolist(), np.diff(knots), np.diff(x)
-    # the range of g_i allowed by link i, and by g_{m-1} = 0 for the last
-    link_lo = np.append(np.where(step >= dk - _LINK_TOL, -inf, 0.0), 0.0).tolist()
-    link_hi = np.append(np.where(step <= _LINK_TOL - dk, inf, 0.0), 0.0).tolist()
-    lo = hi = 0.0
-    los, his = [], []
-    for wi, top, bottom, l_lo, l_hi in zip(ws, (x >= 1.0 - _LINK_TOL).tolist(),
-                                           (x <= _LINK_TOL - 1.0).tolist(), link_lo, link_hi):
-        # g_i = g_{i-1} + w_i - r_i with r_i >= 0 at x_i = 1 and <= 0 at x_i = -1
-        lo = -inf if top else lo + wi
-        hi = inf if bottom else hi + wi
-        if hi < l_lo:
-            lo = hi = l_lo
-        elif lo > l_hi:
-            lo = hi = l_hi
-        else:
-            lo = l_lo if lo < l_lo else lo
-            hi = l_hi if hi > l_hi else hi
-        los.append(lo)
-        his.append(hi)
-    g = [0.0]
-    for wi, lo, hi in zip(ws[:0:-1], los[-2::-1], his[-2::-1]):
-        t = g[-1] - wi
-        g.append(lo if t < lo else hi if t > hi else t)
-    g = np.array(g[::-1])
-    dual = np.abs(w + np.append(0.0, g[:-1]) - g).sum() + float(dk @ np.abs(g[:-1]))
-    return float(dual) - float(w @ x)
-
-
 def smce(pset: PredictionSet) -> SmceResult:
-    """Smooth calibration error with the optimizing 1-Lipschitz witness.
+    """Smooth calibration error of probability rows, with the optimizing 1-Lipschitz witness.
 
-    Residual weights are aggregated at the sorted unique predicted values and
-    the resulting chain LP is solved exactly by ``_max_chain``; the value is
-    normalized by the number of samples. The witness is the greatest optimal
-    one (the pooled residuals sum to zero, so it is not unique). Raises
-    ConvergenceError if its duality gap exceeds SMCE_GAP_TOL.
+    Residual weights w are pooled at the sorted unique predicted values and
+    the chain LP is solved exactly by ``_max_chain``; the value is normalized
+    by the number of samples. The witness is the greatest optimal one.
+
+    The dual flow g = S, the prefix sums S_i = w_0 + ... + w_i, certifies it:
+    by Abel summation every feasible x has sum_i w_i x_i <= sum_i d_i |S_i| +
+    |S_{m-1}|. With knots in [0, 1] the path x_{i+1} = x_i - d_i sign(S_i)
+    fits in [-1, 1], so the bound exceeds the optimum by at most 2 |S_{m-1}|,
+    which is rounding when every row sums to one. Hence smce raises ValueError
+    unless the knots lie in [0, 1] and |S_{m-1}| <= SMCE_GAP_TOL / 2 relative
+    to 1 + sum_i |w_i|, and ConvergenceError if the gap exceeds SMCE_GAP_TOL.
     """
     onehots = np.eye(pset.k)[pset.labels]
     preds = pset.probs.ravel()
@@ -352,14 +315,21 @@ def smce(pset: PredictionSet) -> SmceResult:
     knots, inverse = np.unique(preds, return_inverse=True)
     weights = np.zeros(knots.size)
     np.add.at(weights, inverse, residuals)
+    if not (0.0 <= knots[0] and knots[-1] <= 1.0):
+        raise ValueError("smce needs predicted probabilities in [0, 1]")
+    flow = np.cumsum(weights)
+    total = abs(float(flow[-1]))
+    scale = 1.0 + float(np.abs(weights).sum())
+    if not total <= 0.5 * SMCE_GAP_TOL * scale:
+        raise ValueError(f"smce needs rows that sum to one (residuals sum to {flow[-1]:.3e})")
 
     values = _max_chain(weights, knots)
     witness = LipschitzWitness(knots=knots, values=values)
-    gap = _duality_gap(weights, knots, values)
-    if not gap <= SMCE_GAP_TOL * (1.0 + float(np.abs(weights).sum())):
+    attained = float(weights @ values)
+    gap = float(np.diff(knots) @ np.abs(flow[:-1])) + total - attained
+    if not gap <= SMCE_GAP_TOL * scale:
         raise ConvergenceError(f"smCE witness not certified (duality gap {gap:.3e})")
-    value = float(weights @ values) / pset.n
-    return SmceResult(value=value, witness=witness, duality_gap=gap)
+    return SmceResult(value=attained / pset.n, witness=witness, duality_gap=gap)
 
 
 def _nll_and_error(probs: np.ndarray, labels: np.ndarray):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,9 @@ class MLPConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.epochs < 1 or self.lr <= 0.0 or self.weight_decay < 0.0:
-            raise ValueError("invalid epochs/lr/weight_decay")
+        if not (self.epochs >= 1 and 0.0 < self.lr < math.inf
+                and 0.0 <= self.weight_decay < math.inf):
+            raise ValueError("need epochs >= 1, a finite lr > 0 and a finite weight_decay >= 0")
 
 
 @dataclass

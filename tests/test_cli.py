@@ -89,6 +89,18 @@ class TestExitCodes:
     def test_nonfinite_loss_parameter(self, argv):
         self.assert_rejected(argv)
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--kind", "moons", "--n", "20", "--noise", "nan"],
+        ["synth", "--kind", "gauss2", "--n", "20", "--class-sep", "inf"],
+        ["train", "--data", POINTS, "--lr", "nan"],
+        ["train", "--data", POINTS, "--lr", "inf"],
+        ["sweep", "--data", POINTS, "--lr", "nan"],
+    ], ids=lambda argv: " ".join(a for a in argv if a != POINTS))
+    def test_nonfinite_training_parameter(self, argv, tmp_path):
+        out = tmp_path / "out"
+        self.assert_rejected([*argv, "--out", str(out)] if argv[0] != "train" else argv)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--t-max", "inf"], ["--t-min", "nan"],
                                       ["--t-step", "inf"]], ids=" ".join)
     def test_nonfinite_temperature_grid(self, flag):

@@ -337,7 +337,10 @@ def pooled_weights(probs, labels, knots):
 
 
 def lp_cases():
-    """Random prediction logs up to about 2,000 knots, most with heavy ties."""
+    """Random prediction logs up to about 2,000 knots, most with heavy ties.
+
+    The last three have rows that do not sum to one, which smce rejects.
+    """
     rng = np.random.default_rng(12)
     for decimals in (1, 2, 3):
         p1 = np.round(rng.uniform(size=3000), decimals)
@@ -348,22 +351,44 @@ def lp_cases():
             probs = np.round(probs, decimals)
             probs = probs / probs.sum(axis=1, keepdims=True)
         yield probs, rng.integers(0, 10, size=200)
-    # rows that do not sum to one: the pooled weights no longer cancel, and
-    # the bound |f| <= 1 binds
     for decimals in (1, 2):
         probs = np.round(rng.uniform(size=(500, 2)), decimals)
         yield probs, rng.integers(0, 2, size=500)
     yield rng.uniform(size=(100, 10)) ** 3, rng.integers(0, 10, size=100)
 
 
+LP_CASES = list(lp_cases())
+# the off-simplex logs of lp_cases, and rows that sum to one with entries outside [0, 1]
+OFF_SIMPLEX = LP_CASES[6:] + [(np.array([[0.3, 0.7], [1.25, -0.25]]), np.array([1, 0]))]
+
+
+def knot_count(case):
+    return f"m{np.unique(case[0]).size}"
+
+
 class TestSmceSolver:
-    @pytest.mark.parametrize("case", list(lp_cases()), ids=lambda c: f"m{np.unique(c[0]).size}")
+    @pytest.mark.parametrize("case", LP_CASES[:6], ids=knot_count)
     def test_matches_lp(self, case):
         probs, labels = case
         res = smce(pset(probs, labels))
         assert abs(res.value - smce_lp(probs, labels)) <= 1e-12
         # rounding only: far below the SMCE_GAP_TOL bound
         assert abs(res.duality_gap) <= 1e-14 * probs.size
+
+    @pytest.mark.parametrize("case", OFF_SIMPLEX, ids=knot_count)
+    def test_off_simplex_rows_rejected(self, case):
+        probs, labels = case
+        reason = r"in \[0, 1\]" if probs.min() < 0.0 else "sum to one"
+        with pytest.raises(ValueError, match=reason):
+            smce(pset(probs, labels))
+
+    def test_bound_counts_the_residual_total(self):
+        # a row that sums to 1 + 2^-34, within the tolerance: the optimum
+        # 1.5 * 2^-34 (x = (-1 + 2^-34, -1)) is the bound d_0 |S_0| + |S_1| itself
+        delta = 2.0 ** -34
+        res = smce(pset([[0.5, 0.5 + delta]], [0]))
+        assert res.value == 1.5 * delta
+        assert abs(res.duality_gap) <= 1e-14
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(prediction_sets())
@@ -373,6 +398,7 @@ class TestSmceSolver:
         assert 0.0 <= res.value <= 2.0
         weights = pooled_weights(probs, labels, res.witness.knots)
         assert abs(weights @ res.witness.values / labels.size - res.value) <= 1e-9
+        assert abs(res.duality_gap) <= 1e-14 * probs.size
         # the greatest optimal witness is unique, so rounding in the pooled
         # weights, which depends on row order, must not change it
         moved = smce(pset(probs[perm], labels[perm]))

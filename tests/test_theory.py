@@ -403,6 +403,14 @@ class TestOcUcBound:
             assert out["lhs"] <= out["rhs_linf"] + 1e-12
             assert out["rhs_linf"] <= out["rhs_l2"] + 1e-12
 
+    def test_numpy_reductions_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for k in (2, 3, 5, 10):
+            for p, e in zip(rng.dirichlet(np.ones(k), 500), rng.dirichlet(np.ones(k), 500)):
+                out = oc_uc_bound(p, e)
+                assert out["lhs"] == abs(float(p.max()) - float(e.max()))
+                assert out["rhs_linf"] == float(np.max(np.abs(p - e)))
+
 
 class TestOrderPreservation:
     def test_fcl(self):

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ class TestConfig:
             MLPConfig(epochs=0)
         with pytest.raises(ValueError):
             MLPConfig(lr=0.0)
+        for bad in ({"lr": math.nan}, {"lr": math.inf}, {"weight_decay": math.nan},
+                    {"weight_decay": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                MLPConfig(**bad)
 
 
 class TestModelState:
