@@ -24,7 +24,7 @@ _UFUNCS = {math.exp: np.exp, math.log: np.log, math.pow: np.power}
 _EXACT_POWERS = (-1.0, 0.5, 1.0, 2.0)
 
 
-def libm(fn, *args) -> np.ndarray:
+def libm(fn, *args, out: np.ndarray | None = None) -> np.ndarray:
     """Apply ``math.exp``, ``math.log`` or ``math.pow`` with libm's bits, at numpy speed.
 
     numpy may evaluate float64 exp/log/power with SIMD loops that are not
@@ -36,7 +36,9 @@ def libm(fn, *args) -> np.ndarray:
     with no warning. A scalar exponent of -1, 0.5 or 2 keeps the exactly
     rounded reciprocal, sqrt or square that ``**`` uses for it, which
     libm's pow is not, and an exponent of 1 is the identity in both; that
-    path is ``**`` itself, warnings included.
+    path is ``**`` itself, warnings included. With ``out``, a float64
+    array of the broadcast shape, the result is written there and ``out``
+    is returned; it may be an operand.
 
     Each array operand is raveled to 1-D and reversed, and the ufunc runs
     on those negatively strided views. numpy (checked on 2.4.6) takes its
@@ -56,19 +58,31 @@ def libm(fn, *args) -> np.ndarray:
     numpy 2.4.6), against about 1 µs for the bare ufunc: the error state,
     the reversed views and the copy of the result (``_reversed``). 1-D
     operands of one shape, C-contiguous ones and a 0-d exponent take no
-    copy on the way in.
+    copy on the way in. The ufunc's own output is a fresh array either
+    way; ``out`` saves only the copy, so a loop that passes the same
+    ``out`` on every pass allocates and frees one array per call.
     """
     arrays = [np.asarray(a, dtype=float) for a in args]
     if fn is math.pow and arrays[1].ndim == 0 and float(arrays[1]) in _EXACT_POWERS:
-        return arrays[0] ** float(arrays[1])
-    if not _STRIDED[fn]:
-        return _libm_map(fn, arrays)
-    return _reversed(_UFUNCS[fn], *arrays)
+        result = arrays[0] ** float(arrays[1])
+    elif not _STRIDED[fn]:
+        result = _libm_map(fn, arrays)
+    else:
+        result = _reversed(_UFUNCS[fn], *arrays)
+        if out is None:
+            return result.copy()
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
 
 
 @np.errstate(all="ignore")
 def _reversed(ufunc, *arrays) -> np.ndarray:
-    """``ufunc`` over broadcast ``arrays``, run on negatively strided 1-D views."""
+    """``ufunc`` over broadcast ``arrays``, run on negatively strided 1-D views.
+
+    Returns a view of the ufunc's fresh output, in the operands' order.
+    """
     shapes = [a.shape for a in arrays if a.ndim]
     shape = shapes[0] if shapes else ()
     if not shape:
@@ -85,8 +99,8 @@ def _reversed(ufunc, *arrays) -> np.ndarray:
             # it would hand numpy a forward stride
             a = (col.copy() if col.strides[0] < 0 else col)[::-1]
         views.append(a)
-    out = ufunc(*views)[::-1].copy()
-    return out if len(shape) == 1 else out.reshape(shape)
+    result = ufunc(*views)[::-1]
+    return result if len(shape) == 1 else result.reshape(shape)
 
 
 def _libm_map(fn, arrays) -> np.ndarray:
@@ -139,9 +153,22 @@ _STRIDED = {fn: _probe(fn) for fn in _UFUNCS}
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``; exp goes through libm."""
     z = np.asarray(z, dtype=float)
-    m = np.max(z, axis=axis, keepdims=True)
-    e = libm(math.exp, z - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e, s = exp_sums(z, np.max(z, axis=axis, keepdims=True), axis)
+    return e / s
+
+
+def exp_sums(z: np.ndarray, top: np.ndarray, axis: int = -1,
+             out: np.ndarray | None = None):
+    """(e, s): e = exp(z - top) through libm, and its sums along ``axis`` (kept as a length-1 axis).
+
+    ``top`` is the max of ``z`` along ``axis``, kept; softmax(z) is e / s.
+    With ``out``, a C-contiguous float64 array of z's shape (z itself, say),
+    e is computed there and is ``out``.
+    """
+    # the exps overwrite z - top, so only libm's own output is allocated on top
+    e = np.subtract(z, top, out=out)
+    libm(math.exp, e, out=e)
+    return e, np.sum(e, axis=axis, keepdims=True)
 
 
 def as_simplex(values, mass_tol: float = 1e-8, ndim: int = 1) -> np.ndarray:

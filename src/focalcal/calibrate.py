@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import ConvergenceError, newton_root, newton_root_scalar, softmax
+from ._common import ConvergenceError, exp_sums, newton_root, newton_root_scalar, softmax
 from .data import PredictionSet
 from .losses import LossSpec, focal_phi
-from .metrics import BinningConfig, ece
+from .metrics import BinningConfig, binned_gaps
 
 CONVEX_FAMILIES = ("ce", "brier", "focal", "fcl")
 
@@ -31,6 +31,9 @@ CONVEX_FAMILIES = ("ce", "brier", "focal", "fcl")
 PGAP_KKT_TOL = 1e-9
 # chain links closer than this to a bound count as tight in the certificate
 _LINK_TOL = 1e-12
+# temperatures scored per binning pass in the scan; with at most K of them,
+# a chunk's (E, n) stacks are no larger than one (n, K) array of a grid point
+_SCAN_CHUNK = 10
 
 
 @dataclass
@@ -83,15 +86,80 @@ def temperature_grid(t_min: float = 0.1, t_max: float = 10.0, t_step: float = 0.
     return np.round(t_min + t_step * np.arange(count), 12)
 
 
-def apply_temperature(pset: PredictionSet, t: float) -> PredictionSet:
-    """Rescale logits by 1/t; labels and argmax are unchanged for t > 0."""
-    if t <= 0.0:
+def _scalable_logits(pset: PredictionSet, t: float) -> np.ndarray:
+    """``pset.logits``, checked to scale by 1/T to finite values for every T >= ``t``."""
+    if not t > 0.0:
         raise ValueError("temperature must be > 0")
     if pset.logits is None:
         raise ValueError("temperature scaling requires logits")
-    scaled = pset.logits / t
+    # z / T is finite for all T >= t when max |z| / t is; a nan logit fails too
+    largest = float(np.abs(pset.logits).max()) / t
+    if not math.isfinite(largest):
+        raise ValueError(f"logits overflow at temperature {t!r}: max |z| / T = {largest}")
+    return pset.logits
+
+
+def apply_temperature(pset: PredictionSet, t: float) -> PredictionSet:
+    """Rescale logits by 1/t; labels and argmax are unchanged for t > 0.
+
+    Raises ValueError unless t > 0 and max |z| / t is finite.
+    """
+    scaled = _scalable_logits(pset, t) / t
     return PredictionSet(probs=softmax(scaled, axis=1), labels=pset.labels.copy(),
                          logits=scaled, eta=None if pset.eta is None else pset.eta.copy())
+
+
+@np.errstate(over="ignore")
+def _near_ties(z: np.ndarray, t_max: float) -> np.ndarray:
+    """Rows whose argmax of softmax(z / T) may differ from argmax(z) for some T <= t_max.
+
+    argmax takes the first maximum, and the top entry of e / s is 1 / s, so
+    another entry can take its place only if z / T, exp or the division
+    rounds it to 1 / s. With m the row max, an entry z_j cannot: if m - z_j
+    > T 2^-48 + (|m| + |z_j|) 2^-53 (plus a subnormal 2^-1074 T), the scaled
+    difference rounds to at most -2^-48, its exp to below 1 - 2^-49 and its
+    quotient by s to below the float 1 / s. The test takes twice that margin,
+    at t_max, on the row's runner-up z_r, wherever it lies: an entry z_j <=
+    z_r is farther from m by z_r - z_j, and its margin is larger by at most
+    (z_r - z_j) 2^-52. A difference that overflows is far; a margin that
+    overflows flags its row, which is safe.
+    """
+    second, top = np.partition(z, -2, axis=1)[:, -2:].T
+    slack = t_max * 2.0 ** -47 + (np.abs(top) + np.abs(second)) * 2.0 ** -52
+    return np.flatnonzero(top - second <= slack)
+
+
+def _temperature_eces(pset: PredictionSet, ts: list, bins: int) -> list:
+    """``ece(apply_temperature(pset, t))`` for each t in ``ts``, bit for bit, from 1 / sum exp.
+
+    With m the row max of z, a grid point needs only e = exp(z/t - m/t) and
+    its row sums s (``exp_sums``, softmax's own arithmetic): m/t is the max
+    of z/t, since division by t > 0 is monotone, so the top entry of e is
+    exp(0) = 1, and no e_j / s exceeds 1 / s, which is the confidence. The
+    hits are those of argmax(z), except on the rows of ``_near_ties``,
+    which take argmax(e / s) at each t. Chunks of up to _SCAN_CHUNK (at
+    most K) temperatures are scored by one ``binned_gaps`` pass.
+    """
+    z = _scalable_logits(pset, min(ts))
+    zmax = z.max(axis=1, keepdims=True)
+    hit = z.argmax(axis=1) == pset.labels
+    near = _near_ties(z, max(ts))
+    cfg = BinningConfig(bins=bins)
+    step = min(_SCAN_CHUNK, pset.k)
+    # every grid point computes z / t and its exps in this one array, so the
+    # scan allocates no (n, K) array per point but libm's own output
+    e = np.empty_like(z)
+    eces: list = []
+    for lo in range(0, len(ts), step):
+        chunk = ts[lo:lo + step]
+        conf = np.empty((len(chunk), pset.n))
+        hits = np.repeat(hit[None], len(chunk), axis=0)
+        for i, t in enumerate(chunk):
+            e, s = exp_sums(np.divide(z, t, out=e), zmax / t, out=e)
+            conf[i] = 1.0 / s[:, 0]
+            hits[i, near] = (e[near] / s[near]).argmax(axis=1) == pset.labels[near]
+        eces += binned_gaps(conf, hits, cfg).tolist()
+    return eces
 
 
 def temperature_scan(val: PredictionSet, cfg: BinningConfig = BinningConfig(),
@@ -100,17 +168,18 @@ def temperature_scan(val: PredictionSet, cfg: BinningConfig = BinningConfig(),
     """Grid-search the temperature minimizing validation ECE.
 
     Ties are broken toward the T closest to 1.0, then toward the smaller T.
+    Each ECE, and ``pre_ece`` at T = 1, has the bits of
+    ``ece(apply_temperature(val, t), cfg)``.
     """
     if val.logits is None:
         raise ValueError("temperature scan requires logits")
-    grid = [{"t": t, "ece": ece(apply_temperature(val, t), cfg)}
-            for t in temperature_grid(t_min, t_max, t_step).tolist()]
+    ts = temperature_grid(t_min, t_max, t_step).tolist()
+    # pre_ece is the ECE at T = 1, which is scored with the grid if the grid skips it
+    scored = ts if 1.0 in ts else ts + [1.0]
+    eces = _temperature_eces(val, scored, cfg.bins)
+    grid = [{"t": t, "ece": e} for t, e in zip(ts, eces)]
     best = min(grid, key=lambda r: (r["ece"], abs(r["t"] - 1.0), r["t"]))
-    # T = 1 is usually a grid point, and scaling by 1.0 is the identity
-    pre_ece = next((r["ece"] for r in grid if r["t"] == 1.0), None)
-    if pre_ece is None:
-        pre_ece = ece(apply_temperature(val, 1.0), cfg)
-    return TemperatureScanResult(best_t=best["t"], grid=grid, pre_ece=pre_ece,
+    return TemperatureScanResult(best_t=best["t"], grid=grid, pre_ece=eces[scored.index(1.0)],
                                  post_ece=best["ece"])
 
 

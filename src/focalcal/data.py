@@ -266,8 +266,16 @@ def gen_moons(cfg: SyntheticConfig) -> list[LabeledPoint]:
 
 
 def gauss2_posterior(x1: np.ndarray, class_sep: float, noise: float) -> np.ndarray:
-    """Exact class-1 posterior of the two-Gaussian mixture at abscissa x1."""
-    return 1.0 / (1.0 + libm(math.exp, -class_sep * np.asarray(x1, dtype=float) / noise ** 2))
+    """Exact class-1 posterior of the two-Gaussian mixture at abscissa x1.
+
+    Raises ValueError where the posterior's slope class_sep / noise**2 is
+    not a finite float: noise**2 underflows to 0, or the quotient overflows.
+    """
+    variance = noise ** 2
+    if not (variance > 0.0 and math.isfinite(class_sep / variance)):
+        raise ValueError(f"gauss2 posterior needs noise**2 > 0 and a finite class_sep / noise**2 "
+                         f"(class_sep {class_sep!r}, noise {noise!r})")
+    return 1.0 / (1.0 + libm(math.exp, -class_sep * np.asarray(x1, dtype=float) / variance))
 
 
 def gen_gauss2(cfg: SyntheticConfig) -> list[LabeledPoint]:

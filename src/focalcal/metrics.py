@@ -170,15 +170,15 @@ def _in_order(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _top_class_bins(probs: np.ndarray, labels: np.ndarray, cfg: BinningConfig):
-    """``_bin_stats`` of the top-class confidence of each (n, K) slice of ``probs``."""
-    return _bin_stats(probs.max(axis=-1), probs.argmax(axis=-1) == labels, cfg)
+def _top_class(pset: PredictionSet):
+    """(1, n) stacks of the top-class confidences of ``pset`` and of their hits."""
+    return pset.confidences()[None], (pset.predicted() == pset.labels)[None]
 
 
 def bin_predictions(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> list[BinSummary]:
     """Group samples by top-class confidence into M bins."""
     counts, acc, conf = (a[0].tolist()
-                         for a in _top_class_bins(pset.probs[None], pset.labels, cfg))
+                         for a in _bin_stats(*_top_class(pset), cfg))
     m = cfg.bins
     if cfg.scheme == "equal_width":
         edges = [(b / m, (b + 1) / m) for b in range(m)]
@@ -191,9 +191,19 @@ def bin_predictions(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -
     return [BinSummary(lo, hi, c, a, f) for (lo, hi), c, a, f in zip(edges, counts, acc, conf)]
 
 
+def binned_gaps(confidences: np.ndarray, hits: np.ndarray, cfg: BinningConfig) -> np.ndarray:
+    """Binned calibration gap of each row of the (E, n) stacks ``confidences`` and ``hits``.
+
+    Under ``cfg``'s scheme: sum over bins of count / n * |hit mean - mean
+    confidence|, added bin after bin; ECE with equal width, AdaECE with
+    equal mass. Returns an (E,) array, from one ``_bin_stats`` pass.
+    """
+    counts, acc, conf = _bin_stats(confidences, hits, cfg)
+    return _in_order(_gap_terms(counts, acc, conf, confidences.shape[-1]))
+
+
 def _binned_gap(pset: PredictionSet, cfg: BinningConfig) -> float:
-    counts, acc, conf = _top_class_bins(pset.probs[None], pset.labels, cfg)
-    return float(_in_order(_gap_terms(counts, acc, conf, pset.n))[0])
+    return float(binned_gaps(*_top_class(pset), cfg)[0])
 
 
 def ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> float:
@@ -201,7 +211,7 @@ def ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> float:
 
 
 def mce(pset: PredictionSet, cfg: BinningConfig = BinningConfig()) -> float:
-    counts, acc, conf = _top_class_bins(pset.probs[None], pset.labels, cfg)
+    counts, acc, conf = _bin_stats(*_top_class(pset), cfg)
     return float(max(np.abs(acc - conf)[counts > 0].tolist()))
 
 
@@ -354,10 +364,10 @@ def stacked_scores(probs: np.ndarray, labels: np.ndarray,
     Each is an (E,) array with the bits that ``ece`` and ``score_metrics``
     give on ``PredictionSet(probs[e], labels)``, from one pass over the stack.
     """
-    counts, acc, conf = _top_class_bins(probs, labels, BinningConfig(bins=cfg.bins))
     nll, error = _nll_and_error(probs, labels)
-    return {"ece": _in_order(_gap_terms(counts, acc, conf, labels.size)), "nll": nll,
-            "error": error}
+    return {"ece": binned_gaps(probs.max(axis=-1), probs.argmax(axis=-1) == labels,
+                               BinningConfig(bins=cfg.bins)),
+            "nll": nll, "error": error}
 
 
 def auroc(scores_pos, scores_neg) -> float:

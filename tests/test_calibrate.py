@@ -77,6 +77,19 @@ class TestApplyTemperature:
         with pytest.raises(ValueError, match="logits"):
             apply_temperature(ps, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("top", [1.7e308, -1.7e308, np.inf, np.nan])
+    def test_overflowing_logits_rejected(self, top):
+        ps = PredictionSet(probs=np.array([[0.5, 0.5]] * 2), labels=np.array([0, 1]),
+                           logits=np.array([[top, 0.5], [0.1, 0.5]]))
+        with pytest.raises(ValueError, match="overflow"):
+            apply_temperature(ps, 0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            temperature_scan(ps)
+        if math.isfinite(top):
+            # max |z| / T is finite for every T of this grid
+            assert temperature_scan(ps, t_min=1.0, t_max=2.0).best_t >= 1.0
+
 
 class TestTemperatureScan:
     def test_uniform_logits_tie_breaks_to_one(self):
@@ -124,6 +137,67 @@ class TestTemperatureScan:
         assert len(scan.grid) == 100
         assert any(row["t"] == scan.best_t for row in scan.grid)
         assert all(row.keys() == {"t", "ece"} for row in scan.grid)
+
+
+@st.composite
+def tied_logits(draw):
+    """(z, labels): logits with exact ties or runner-ups a few ulp below the row max.
+
+    On a 0.25 lattice many entries tie exactly; otherwise each row gets one
+    entry 0-3 ulp below its max, before or after it. Scales 1e-3 to 1e3.
+    """
+    n, k = draw(st.integers(1, 20)), draw(st.integers(2, 6))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        z = 0.25 * np.array(draw(st.lists(st.integers(-8, 8), min_size=n * k, max_size=n * k)))
+    else:
+        z = np.array(draw(st.lists(st.floats(-4.0, 4.0, allow_nan=False),
+                                   min_size=n * k, max_size=n * k)))
+    z = (scale * z).reshape(n, k)
+    if draw(st.booleans()):
+        top = z.argmax(axis=1)
+        for row, (col, ulps) in enumerate(draw(st.lists(
+                st.tuples(st.integers(0, k - 1), st.integers(0, 3)), min_size=n, max_size=n))):
+            v = z[row, top[row]]
+            for _ in range(ulps):
+                v = np.nextafter(v, -np.inf)
+            z[row, col] = v
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    return z, labels
+
+
+class TestStackedScanMatchesPerTemperatureLoop:
+    """The scan against the reference: one ``ece(apply_temperature(val, t))`` per grid point."""
+
+    @staticmethod
+    def reference(ps, cfg, t_min, t_max, t_step):
+        grid = [{"t": t, "ece": ece(apply_temperature(ps, t), cfg)}
+                for t in temperature_grid(t_min, t_max, t_step).tolist()]
+        best = min(grid, key=lambda r: (r["ece"], abs(r["t"] - 1.0), r["t"]))
+        return grid, best["t"], ece(apply_temperature(ps, 1.0), cfg), best["ece"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tied_logits(), st.integers(1, 20),
+           st.sampled_from([(0.1, 10.0, 0.1), (0.15, 4.05, 0.3), (0.05, 0.95, 0.05),
+                            (2.0, 40.0, 2.0), (0.001, 1000.0, 50.0)]))
+    @example((np.array([[1.0, np.nextafter(1.0, 2.0)], [3.0, 3.0]]), np.array([1, 0])), 15,
+             (0.15, 4.05, 0.3))
+    def test_bit_identical(self, logits, bins, grid):
+        z, labels = logits
+        ps = logit_set(z, labels)
+        cfg = BinningConfig(bins=bins)
+        scan = temperature_scan(ps, cfg, *grid)
+        want, best_t, pre_ece, post_ece = self.reference(ps, cfg, *grid)
+        assert scan.grid == want
+        assert (scan.best_t, scan.pre_ece, scan.post_ece) == (best_t, pre_ece, post_ece)
+
+    def test_near_ties_flag_the_rows_that_need_them(self):
+        # at T = 3 the 1-ulp runner-up before the max rounds to the same z / T,
+        # and the first index wins; a runner-up after the max is flagged too
+        z = np.array([[np.nextafter(1e3, 0.0), 1e3], [1e3, np.nextafter(1e3, 0.0)],
+                      [0.0, 5.0]])
+        assert calibrate._near_ties(z, 10.0).tolist() == [0, 1]
+        assert apply_temperature(logit_set(z, [1, 0, 1]), 3.0).predicted()[0] == 0
 
 
 class TestPostProcessMap:

@@ -106,6 +106,28 @@ class TestExitCodes:
     def test_nonfinite_temperature_grid(self, flag):
         self.assert_rejected(["temp-scale", "--val", str(FIX / "logits_val.jsonl"), *flag])
 
+    # z / T is not finite at the grid's first T, or is finite everywhere (exit 0)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("logit, flags, want", [
+        ("1.7e308", [], 1), ("-1.7e308", [], 1), ("1e300", [], 0),
+        ("1e300", ["--t-min", "1e-11", "--t-max", "1e-11"], 1)],
+        ids=["1.7e308", "-1.7e308", "1e300", "1e300 at T 1e-11"])
+    def test_logits_overflowing_at_smallest_temperature(self, tmp_path, logit, flags, want):
+        log = tmp_path / "val.jsonl"
+        log.write_text(f'{{"logits": [{logit}, 0.5], "label": 0}}\n'
+                       '{"logits": [0.1, 0.5], "label": 1}\n')
+        rc, _, err = run_capture(["temp-scale", "--val", str(log), *flags])
+        assert rc == want and ("error:" in err) == bool(want) and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [["--noise", "1e-200", "--class-sep", "0"],
+                                       ["--noise", "1e-320"], ["--class-sep", "1e308"]],
+                             ids=" ".join)
+    def test_gauss2_posterior_slope_not_finite(self, tmp_path, flags):
+        out = tmp_path / "g.jsonl"
+        self.assert_rejected(["synth", "--kind", "gauss2", "--n", "4", *flags, "--out", str(out)])
+        assert not out.exists()
+
     def test_nonfinite_boundary_bounds(self, tmp_path):
         self.assert_rejected(["boundary", "--model", str(FIX / "model.json"),
                               "--bounds", "0,1,0,nan", "--out", str(tmp_path / "b.csv")])
@@ -526,16 +548,24 @@ def test_two_runs_build_one_parser(monkeypatch):
 
 
 def test_temp_scale_softmax_calls(monkeypatch, tmp_path):
-    # one per log at load, one per grid point, and one for the test set at
-    # the best T; the T = 1 point cannot reuse the load, which renormalizes
+    # softmax once per log at load and once for the test set at the best T;
+    # each grid point makes one exp pass of its own and no softmax, and the
+    # T = 1 point takes its exps afresh, since the load renormalizes
+    import focalcal._common
     import focalcal.calibrate
     import focalcal.data
-    calls = []
-    softmax = focalcal.data.softmax
+    calls, exps = [], []
+    softmax, libm = focalcal.data.softmax, focalcal._common.libm
     for module in (focalcal.calibrate, focalcal.data):
         monkeypatch.setattr(module, "softmax",
                             lambda z, axis=-1: calls.append(1) or softmax(z, axis=axis))
+
+    def counted_libm(fn, *args, **kwargs):
+        exps.append(fn is math.exp)
+        return libm(fn, *args, **kwargs)
+
+    monkeypatch.setattr(focalcal._common, "libm", counted_libm)
     rc, _, _ = run_capture(["temp-scale", "--val", str(FIX / "logits_val.jsonl"),
                             "--test", str(FIX / "logits_test.jsonl"),
                             "--out", str(tmp_path / "t.json")])
-    assert rc == 0 and len(calls) == 1 + 100 + 1 + 1
+    assert rc == 0 and len(calls) == 1 + 1 + 1 and sum(exps) == len(calls) + 100

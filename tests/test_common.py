@@ -170,6 +170,21 @@ class TestReversedRoute:
         for (fn, args), want in zip(cases, strided):
             assert np.array_equal(libm(fn, *args), want, equal_nan=True)
 
+    @pytest.mark.parametrize("strided", [True, False], ids=["reversed route", "map"])
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_out_gives_the_same_bits(self, monkeypatch, name, strided):
+        fn, args = seeded_args(name, np.random.default_rng(26), 1200)
+        grids = [a.reshape(40, 30) if np.ndim(a) else a for a in args]
+        want = libm(fn, *grids)
+        if not strided:
+            monkeypatch.setattr(_common, "_STRIDED", dict.fromkeys(_common._UFUNCS, False))
+        for out in (np.empty((40, 30)), np.empty((40, 30), order="F")):
+            assert libm(fn, *grids, out=out) is out and out.tobytes() == want.tobytes()
+        # in place: the first operand is the output
+        first = grids[0].copy()
+        assert libm(fn, first, *grids[1:], out=first) is first
+        assert first.tobytes() == want.tobytes()
+
     def test_domain_edges_raise_no_warning(self):
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
