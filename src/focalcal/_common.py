@@ -165,8 +165,10 @@ def exp_sums(z: np.ndarray, top: np.ndarray, axis: int = -1,
     With ``out``, a C-contiguous float64 array of z's shape (z itself, say),
     e is computed there and is ``out``.
     """
-    # the exps overwrite z - top, so only libm's own output is allocated on top
-    e = np.subtract(z, top, out=out)
+    # the exps overwrite z - top, so only libm's own output is allocated on top;
+    # logits more than the largest float apart give -inf there, and exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        e = np.subtract(z, top, out=out)
     libm(math.exp, e, out=e)
     return e, np.sum(e, axis=axis, keepdims=True)
 
@@ -190,21 +192,6 @@ def as_simplex(values, mass_tol: float = 1e-8, ndim: int = 1) -> np.ndarray:
     if off:
         raise ValueError(f"probability mass {off[0]} deviates from 1 by more than {mass_tol}")
     return v / mass
-
-
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats with the 0*log(0) = 0 convention."""
-    p = np.asarray(p, dtype=float)
-    nz = p > 0.0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats; q is floored at LOG_EPS inside the log."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    nz = p > 0.0
-    return float(np.sum(p[nz] * (np.log(p[nz]) - np.log(np.maximum(q[nz], LOG_EPS)))))
 
 
 def newton_root(f, lo, hi, x0):

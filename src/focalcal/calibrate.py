@@ -187,37 +187,29 @@ def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray, order: int = 0) -> lis
     """(label 1, label 0) pairs of the loss or its derivatives at class-1 probability ``kappa``.
 
     ``order`` 0 gives [(l1, l0)], the values over a 1-D ``kappa``; 1 gives
-    [(d1, d0)], the first derivatives, and 2 gives [(d1, d0), (h1, h0)],
-    the first and second, with no values computed. Label 1 scores the focal
-    term at kappa and label 0 at 1 - kappa; ce is the focal term with gamma = 0.
+    [(d1, d0)], the first derivatives, and 2 gives [(d1, d0), (h1, h0)], with
+    no values computed. Label 1 scores the loss table's focal term at kappa and
+    label 0 at 1 - kappa; its a ||(1 - kappa, kappa) - e_y||^2 is 2a (kappa - y)^2.
     """
+    gamma, a = spec.coeffs
     # keep the fractional powers real-valued for arguments a hair outside [0, 1]
     p = kappa.clip(0.0, 1.0)
     q = 1.0 - p
-    orders = range(min(order, 1), order + 1)
-    if spec.family == "brier":
-        # sum over both classes: 2 (p - y)^2
-        return [(2.0 * q ** 2, 2.0 * p ** 2) if k == 0 else (-4.0 * q, 4.0 * p) if k == 1
-                else (np.full_like(p, 4.0), np.full_like(p, 4.0)) for k in orders]
-    gamma = 0.0 if spec.family == "ce" else spec.gamma
-    lam = spec.lam if spec.family == "fcl" else 0.0
-    # one call for both labels: the terms are elementwise, so the bits are
-    # those of two separate calls
-    m = len(p)
-    phi = focal_phi(np.concatenate([p, q]), gamma, order)
+    if gamma is not None:
+        # one call for both labels: elementwise terms, so the bits of two calls
+        m = len(p)
+        phi = focal_phi(np.concatenate([p, q]), gamma, order)
     out = []
-    for k in orders:
-        t1, t0 = phi[k][:m], phi[k][m:]
-        if k == 1:
-            t0 = -t0  # chain rule through q = 1 - kappa
-        if lam > 0.0:
-            if k == 0:
-                t1, t0 = t1 + lam * 2.0 * q ** 2, t0 + lam * 2.0 * p ** 2
-            elif k == 1:
-                t1, t0 = t1 - lam * 4.0 * q, t0 + lam * 4.0 * p
-            else:
-                t1, t0 = t1 + lam * 4.0, t0 + lam * 4.0
-        out.append((t1, t0))
+    for k in range(min(order, 1), order + 1):
+        if gamma is not None:
+            # chain rule through q = 1 - kappa
+            pair = (phi[k][:m], -phi[k][m:] if k == 1 else phi[k][m:])
+        if a:
+            quad = ((a * 2.0 * q ** 2, a * 2.0 * p ** 2) if k == 0
+                    else (-(a * 4.0 * q), a * 4.0 * p) if k == 1
+                    else (np.full_like(p, a * 4.0),) * 2)
+            pair = quad if gamma is None else (pair[0] + quad[0], pair[1] + quad[1])
+        out.append(pair)
     return out
 
 

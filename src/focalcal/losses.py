@@ -1,15 +1,15 @@
 """Surrogate losses with analytic gradients.
 
 Families: cross-entropy (``ce``), label smoothing (``label_smoothing``),
-Brier score (``brier``), focal loss (``focal``), the sample-dependent focal
-schedule (``flsd53``: gamma 5 below true-class probability 0.2, else 3), and
+Brier score (``brier``), focal loss (``focal``), the focal schedule
+``flsd53`` (gamma 5 where a class probability is below 0.2, else 3), and
 the focal loss with an added squared-distance calibration term (``fcl``).
 
-All evaluators accept soft targets; the focal term generalizes to
-``sum_k t_k (1 - p_k)^gamma (-log p_k)``. Probabilities are floored at 1e-12
-inside logarithms and divisions (see ``focal_phi``); the quadratic
-calibration term is exact. With ``lam == 0`` the fcl path skips the
-calibration term entirely so it matches the plain focal loss bitwise.
+Each family is a row of ``_TABLE``: the per-class focal term
+``t_k (1 - p_k)^gamma (-log p_k)`` on the (smoothed) targets t, plus
+``a ||p - y||^2``. ``class_terms`` evaluates a row per class for the losses
+here and ``theory``'s risk; pgap's binary terms read it by ``LossSpec.coeffs``.
+Probabilities are floored at 1e-12 inside logs and divisions (``focal_phi``).
 """
 
 from __future__ import annotations
@@ -19,9 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import LOG_EPS, entropy, kl_divergence, libm, softmax
+from ._common import LOG_EPS, libm, softmax
 
-FAMILIES = ("ce", "label_smoothing", "brier", "focal", "flsd53", "fcl")
+# family -> spec -> (gamma of the focal term, a of a ||q - y||^2); gamma None:
+# no focal term, a function: gamma at each class probability q
+_TABLE = {
+    "ce": lambda spec: (0.0, 0.0),
+    "label_smoothing": lambda spec: (0.0, 0.0),
+    "brier": lambda spec: (None, 1.0),
+    "focal": lambda spec: (spec.gamma, 0.0),
+    "flsd53": lambda spec: (lambda q: np.where(q < 0.2, 5.0, 3.0), 0.0),
+    "fcl": lambda spec: (spec.gamma, spec.lam),
+}
+FAMILIES = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,11 @@ class LossSpec:
             raise ValueError("lambda must be finite and >= 0")
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must be in [0, 1)")
+
+    @property
+    def coeffs(self) -> tuple:
+        """(gamma, a) of the family's row in the loss table."""
+        return _TABLE[self.family](self)
 
 
 @dataclass(frozen=True)
@@ -61,12 +76,14 @@ def _check_pair(probs, target):
 def focal_phi(q, gamma, order: int = 0) -> list:
     """[phi, phi', phi''][:order + 1] of phi_gamma(q) = -(1-q)^gamma log q.
 
-    The one evaluator of the focal term. ``gamma`` may be an array that
-    broadcasts with ``q``. ``q`` is floored at 1e-12 inside logs and
-    divisions, and the base 1-q of the gamma-1 and gamma-2 powers at 1e-12;
-    log and pow go through libm so the values are the same on every numpy
-    build. gamma = 0 needs no special case: pow(x, 0) = 1 and 0 * finite = 0.
+    The one evaluator of the focal term. ``gamma`` is an array that
+    broadcasts with ``q``, or a function of ``q``. ``q`` is floored at 1e-12
+    inside logs and divisions, and the base 1-q of the gamma-1 and gamma-2
+    powers at 1e-12; log and pow go through libm so the values are the same
+    on every numpy build. gamma = 0 needs no special case.
     """
+    if callable(gamma):
+        gamma = gamma(q)
     qe = np.maximum(q, LOG_EPS)
     logq = libm(math.log, qe)
     pg = libm(math.pow, 1.0 - q, gamma)
@@ -81,10 +98,6 @@ def focal_phi(q, gamma, order: int = 0) -> list:
     return out
 
 
-def _brier_values(probs, targets):
-    return np.sum((probs - targets) ** 2, axis=-1)
-
-
 def _smoothed(spec: LossSpec, targets):
     """The targets the log term sees: label smoothing mixes in the uniform distribution."""
     if spec.family != "label_smoothing":
@@ -92,23 +105,30 @@ def _smoothed(spec: LossSpec, targets):
     return (1.0 - spec.alpha) * targets + spec.alpha / targets.shape[-1]
 
 
+def class_terms(spec: LossSpec, q, y, order: int = 0) -> list:
+    """[t phi, d/dq, d2/dq2][:order + 1] per class at ``q``, with t the smoothed ``y``.
+
+    The derivatives include a ||q - y||^2's, the value term (0 with no focal
+    term) does not. ``q`` and ``y`` broadcast as (..., K).
+    """
+    gamma, a = spec.coeffs
+    if gamma is None:
+        d = q - y
+        return [np.zeros_like(d), 2.0 * a * d, np.full_like(d, 2.0 * a)][:order + 1]
+    t = _smoothed(spec, y)
+    out = [t * d for d in focal_phi(q, gamma, order)]
+    if a:
+        out[1:] = [d + c for d, c in zip(out[1:], (2.0 * a * (q - y), 2.0 * a))]
+    return out
+
+
 def _terms(spec: LossSpec, probs, targets, order: int) -> list:
     """Per-sample values and, for ``order`` 1, gradients with respect to the probabilities."""
-    fam = spec.family
-    if fam == "brier":
-        return [_brier_values(probs, targets), 2.0 * (probs - targets)][:order + 1]
-    gamma = spec.gamma
-    if fam in ("ce", "label_smoothing"):
-        gamma = 0.0
-    elif fam == "flsd53":
-        # gamma = 5 when the true-class probability is below 0.2, else 3
-        gamma = np.where(np.sum(probs * targets, axis=-1, keepdims=True) < 0.2, 5.0, 3.0)
-    t = _smoothed(spec, targets)
-    phi = focal_phi(probs, gamma, order)
-    out = [np.sum(t * phi[0], axis=-1)] + [t * d for d in phi[1:]]
-    if fam == "fcl" and spec.lam != 0.0:
-        out[0] = out[0] + spec.lam * _brier_values(probs, targets)
-        out[1:] = [g + spec.lam * 2.0 * (probs - targets) for g in out[1:]]
+    out = class_terms(spec, probs, targets, order)
+    out[0] = np.sum(out[0], axis=-1)
+    a = spec.coeffs[1]
+    if a:
+        out[0] = out[0] + a * np.sum((probs - targets) ** 2, axis=-1)
     return out
 
 
@@ -149,9 +169,10 @@ def eval_loss_grad(spec: LossSpec, logits, target) -> LossEval:
 def entropy_bound_check(probs, target, gamma: float) -> dict:
     """Check the focal-loss lower bound KL(t||p) + H[t] - gamma*H[p].
 
-    The derivation uses Bernoulli's inequality and therefore requires
-    gamma >= 1. Returns the two sides and whether the bound holds with
-    1e-12 slack.
+    The derivation (Mukhoti et al., NeurIPS 2020) uses Bernoulli's inequality
+    and therefore requires gamma >= 1. KL(t||p) + H[t] is -sum t log p, with
+    KL's 1e-12 floor on p. Returns the two sides and whether the bound holds
+    with 1e-12 slack.
     """
     if gamma < 1.0:
         raise ValueError("the bound's derivation requires gamma >= 1")
@@ -159,5 +180,7 @@ def entropy_bound_check(probs, target, gamma: float) -> dict:
     if np.any(p <= 0.0):
         raise ValueError("probs must be strictly positive")
     lhs = float(batch_values(LossSpec("focal", gamma=gamma), p, t))
-    rhs = kl_divergence(t, p) + entropy(t) - gamma * entropy(p)
+    logp = libm(math.log, p)
+    cross = -float(np.sum(t * np.where(p < LOG_EPS, math.log(LOG_EPS), logp)))
+    rhs = cross + gamma * float(np.sum(p * logp))
     return {"holds": lhs >= rhs - 1e-12, "lhs": lhs, "rhs": rhs}

@@ -5,8 +5,8 @@ strictly-decreasing sigma function with its unique interior root, binary
 optimal-prediction curves, and the overconfidence/underconfidence bound.
 
 The risk of every supported family is separable across classes:
-``risk(q) = sum_i w_i * phi_gamma(q_i) + a * (||q||^2 - 2 eta.q + 1)`` with
-``phi_gamma(q) = -(1-q)^gamma log q``, each term convex in q_i. So for K >= 3
+``risk(q) = sum_i t_i * phi_gamma(q_i) + a * (||q||^2 - 2 eta.q + 1)`` with
+t, gamma and a from ``losses.class_terms``, each term convex in q_i. So for K >= 3
 the minimizer solves one equation in the multiplier mu of sum q = 1 by dual
 safeguarded Newton (``iterations`` counts the trial values of mu); binary
 specs solve for the zero of the risk derivative by the same rule
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import ConvergenceError, as_simplex, newton_root, newton_root_scalar
-from .losses import LossSpec, batch_values, focal_phi
+from .losses import LossSpec, batch_values, class_terms
 
 Q_LO = 1e-12
 Q_HI = 1.0 - 1e-12
@@ -50,35 +50,18 @@ class SigmaSpec:
             raise ValueError("gamma and lambda must be finite and >= 0")
 
 
-def _risk_coeffs(spec: LossSpec, eta: np.ndarray):
-    """Separable-risk coefficients: focal weights w, gamma (None: per value), quadratic a."""
-    fam = spec.family
-    if fam == "label_smoothing":
-        return (1.0 - spec.alpha) * eta + spec.alpha / eta.shape[-1], 0.0, 0.0
-    if fam == "brier":
-        return np.zeros_like(eta), 0.0, 1.0
-    gamma = {"ce": 0.0, "flsd53": None}.get(fam, spec.gamma)
-    return eta, gamma, spec.lam if fam == "fcl" else 0.0
-
-
 def _risk_terms(spec: LossSpec, q: np.ndarray, eta: np.ndarray, order: int = 2) -> list:
     """[value] for order 0, else [gradient, diagonal hessian][:order], of the risk
     at q; ``q`` and ``eta`` broadcast as (..., K), and the value sums over K."""
-    w, gamma, a = _risk_coeffs(spec, eta)
-    if gamma is None:
-        gamma = np.where(q < 0.2, 5.0, 3.0)
-    # a Brier spec has no focal term
-    phi = focal_phi(q, gamma, order) if np.any(w) else [np.zeros_like(q)] * (order + 1)
-    if order == 0:
-        value = np.sum(w * phi[0], axis=-1)
-        if a > 0.0:
-            value = value + a * (np.sum(q * q, axis=-1) - 2.0 * np.sum(eta * q, axis=-1) + 1.0)
-        return [value]
-    out = [w * d for d in phi[1:]]
-    if a > 0.0:
-        # a (|q|^2 - 2 eta.q + 1) has gradient 2a (q - eta) and hessian 2a
-        out = [d + c for d, c in zip(out, (2.0 * a * (q - eta), 2.0 * a))]
-    return out
+    out = class_terms(spec, q, eta, order)
+    if order:
+        return out[1:]
+    value = np.sum(out[0], axis=-1)
+    a = spec.coeffs[1]
+    if a:
+        # sum_y eta_y a ||q - e_y||^2 = a (||q||^2 - 2 eta.q + 1)
+        value = value + a * (np.sum(q * q, axis=-1) - 2.0 * np.sum(eta * q, axis=-1) + 1.0)
+    return [value]
 
 
 def pointwise_risk(spec: LossSpec, q, eta) -> float:
@@ -166,30 +149,30 @@ def minimize_risk(spec: LossSpec, eta) -> MinimizerResult:
                            converged=res <= KKT_TOL and on_simplex, kkt_residual=res)
 
 
-def sigma_eval(spec: SigmaSpec, q: float) -> float:
+def sigma_eval(sigma: SigmaSpec, q: float) -> float:
     """(1-q)^gamma - gamma q log(q) (1-q)^(gamma-1) - 2 lambda q on (0, 1)."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in the open interval (0, 1)")
-    g, lam = spec.gamma, spec.lam
+    g, lam = sigma.gamma, sigma.lam
     middle = 0.0 if g == 0.0 else g * q * math.log(q) * math.pow(1.0 - q, g - 1.0)
     return float(math.pow(1.0 - q, g) - middle - 2.0 * lam * q)
 
 
-def sigma_root(spec: SigmaSpec) -> float:
+def sigma_root(sigma: SigmaSpec) -> float:
     """Unique zero of sigma on (0, 1), to adjacent floats (requires lambda > 0)."""
-    if spec.lam <= 0.0:
+    if sigma.lam <= 0.0:
         raise ValueError("sigma root requires lambda > 0 (boundary root at q -> 1 otherwise)")
-    if spec.gamma == 0.0:
+    if sigma.gamma == 0.0:
         # linear case: sigma(q) = 1 - 2 lam q
-        root = 1.0 / (2.0 * spec.lam)
+        root = 1.0 / (2.0 * sigma.lam)
         if root >= 1.0:
             raise ConvergenceError("sigma endpoints do not bracket a root")
         return root
     lo, hi = 1e-12, 1.0 - 1e-12
-    if sigma_eval(spec, lo) <= 0.0 or sigma_eval(spec, hi) >= 0.0:
+    if sigma_eval(sigma, lo) <= 0.0 or sigma_eval(sigma, hi) >= 0.0:
         raise ConvergenceError("sigma endpoints do not bracket a root")
     # -sigma rises through its root; a nan slope bisects down to adjacent floats
-    root, _ = newton_root_scalar(lambda x: (-sigma_eval(spec, x), math.nan), lo, hi, 0.5)
+    root, _ = newton_root_scalar(lambda x: (-sigma_eval(sigma, x), math.nan), lo, hi, 0.5)
     return root
 
 

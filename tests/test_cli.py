@@ -119,6 +119,23 @@ class TestExitCodes:
         rc, _, err = run_capture(["temp-scale", "--val", str(log), *flags])
         assert rc == want and ("error:" in err) == bool(want) and "Traceback" not in err
 
+    # logits more than the largest float apart overflow in z - max(z); exp takes
+    # that -inf to 0, so the softmax is exact and the run succeeds
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_logits_whose_difference_overflows(self, tmp_path):
+        log, out = tmp_path / "big.jsonl", tmp_path / "t.json"
+        log.write_text('{"logits": [1.7e308, -1.7e308], "label": 0}\n'
+                       '{"logits": [-1.7e308, 1.7e308], "label": 1}\n')
+        rc, stdout, err = run_capture(["temp-scale", "--val", str(log), "--test", str(log),
+                                       "--t-min", "2", "--t-max", "3", "--out", str(out)])
+        assert rc == 0 and err == ""
+        payload = json.loads(out.read_text())
+        values = [payload[k] for k in ("best_t", "pre_ece", "post_ece", "test_pre_ece",
+                                       "test_post_ece")]
+        values += [v for row in payload["grid"] for v in row.values()]
+        assert len(payload["grid"]) == 11 and all(math.isfinite(v) for v in values)
+        assert payload["test_post_ece"] == 0.0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [["--noise", "1e-200", "--class-sep", "0"],
                                        ["--noise", "1e-320"], ["--class-sep", "1e308"]],

@@ -156,3 +156,37 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # with a warm file cache (-X importtime); the libm probe that runs at
     # import draws its arguments without it
     assert modules_loaded_by_cli_import("numpy.random") == "[]"
+
+
+# numpy's own exp, log and power may take SIMD loops whose bits differ by CPU;
+# the package goes through ``_common.libm``, and only its ``_UFUNCS`` table names them
+NUMPY_TRANSCENDENTALS = ("exp", "log", "power", "log1p", "expm1")
+
+
+def numpy_transcendentals(source: str, allowed=()) -> list[str]:
+    """``line N: np.f`` for each use of numpy's exp, log, power, log1p or expm1
+    outside the top-level assignments to the names ``allowed``."""
+    found = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id in allowed for t in node.targets)):
+            continue
+        found += [(n.lineno, f"{n.value.id}.{n.attr}") for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in ("np", "numpy") and n.attr in NUMPY_TRANSCENDENTALS]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_numpy_transcendentals():
+    src = ("import numpy as np\n_UFUNCS = {1: np.exp, 2: np.log}\n"
+           "def f(x):\n    return np.log1p(x) + np.exp2(x)\n"
+           "g = np.power\nh = numpy.expm1\n# np.log in a comment\n")
+    assert numpy_transcendentals(src, ("_UFUNCS",)) == [
+        "line 4: np.log1p", "line 5: np.power", "line 6: numpy.expm1"]
+    assert numpy_transcendentals(src)[:2] == ["line 2: np.exp", "line 2: np.log"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_transcendentals_outside_libm(path):
+    allowed = {"_common.py": ("_UFUNCS",)}.get(path.name, ())
+    assert numpy_transcendentals(path.read_text(), allowed) == []

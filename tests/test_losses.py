@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import fd_logit_grads, naive_softmax
-from focalcal.losses import (FAMILIES, LossSpec, batch_logit_grads, batch_values,
+from focalcal._common import softmax
+from focalcal.calibrate import _binary_loss_terms
+from focalcal.losses import (FAMILIES, LossSpec, batch_logit_grads, batch_values, class_terms,
                              entropy_bound_check, eval_loss, eval_loss_grad, focal_phi)
+from focalcal.theory import _risk_terms
 
 ALL_SPECS = [
     LossSpec(family="ce"),
@@ -65,6 +68,32 @@ class TestEvalLoss:
         assert abs(lo - 0.9 ** 5 * -np.log(0.1)) < 1e-15
         hi = eval_loss(LossSpec(family="flsd53"), [0.6, 0.4], [1.0, 0.0])
         assert abs(hi - 0.4 ** 3 * -np.log(0.6)) < 1e-15
+
+    def test_flsd_hard_labels_match_the_per_sample_schedule(self):
+        # the schedule as first written: one gamma per sample, from the
+        # true-class probability sum p t, for values and logit gradients
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(200, 4)) * 2.0
+        t = np.eye(4)[rng.integers(0, 4, size=200)]
+        p = softmax(z)
+        gamma = np.where(np.sum(p * t, axis=-1, keepdims=True) < 0.2, 5.0, 3.0)
+        assert 0 < np.sum(gamma == 5.0) < 200
+        phi, d1 = focal_phi(p, gamma, 1)
+        g = t * d1
+        spec = LossSpec(family="flsd53")
+        values, grads = batch_logit_grads(spec, z, t)
+        assert values.tobytes() == np.sum(t * phi, axis=-1).tobytes()
+        assert grads.tobytes() == (p * (g - np.sum(g * p, axis=-1, keepdims=True))).tobytes()
+        assert batch_values(spec, p, t).tobytes() == values.tobytes()
+
+    def test_flsd_soft_target_is_the_mixture_of_hard_ones(self):
+        # gamma goes per class probability, so a soft target t scores sum_k t_k loss(p, e_k)
+        rng = np.random.default_rng(12)
+        p = rng.dirichlet(np.ones(3) * 0.5, size=100)
+        t = rng.dirichlet(np.ones(3), size=100)
+        spec = LossSpec(family="flsd53")
+        mixed = sum(t[:, k] * batch_values(spec, p, np.eye(3)[k]) for k in range(3))
+        assert np.allclose(batch_values(spec, p, t), mixed, rtol=1e-14, atol=0.0)
 
     def test_lambda_zero_reduction_bitwise(self):
         rng = np.random.default_rng(4)
@@ -163,6 +192,26 @@ class TestEntropyBound:
         with pytest.raises(ValueError):
             entropy_bound_check([0.5, 0.5], [1.0, 0.0], 0.5)
 
+    def test_matches_the_three_term_formula(self):
+        # KL(t||p) + H[t] - gamma H[p] term by term, as the bound is stated
+        def three_terms(p, t, gamma):
+            nz = t > 0.0
+            kl = np.sum(t[nz] * (np.log(t[nz]) - np.log(np.maximum(p[nz], 1e-12))))
+            return kl - np.sum(t[nz] * np.log(t[nz])) + gamma * np.sum(p * np.log(p))
+
+        rng = np.random.default_rng(13)
+        for i in range(600):
+            k = 2 + i % 4
+            p = rng.dirichlet(np.ones(k) * (0.3 if i % 3 else 2.0))
+            t = np.eye(k)[i % k] if i % 2 else rng.dirichlet(np.ones(k))
+            if i % 5 == 0:
+                p[0] = 1e-13  # below the 1e-12 floor
+                p /= p.sum()
+            gamma = 1.0 + i % 4
+            out, want = entropy_bound_check(p, t, gamma), three_terms(p, t, gamma)
+            assert abs(out["rhs"] - want) <= 1e-13 * max(1.0, abs(want))
+            assert out["holds"] == (out["lhs"] >= want - 1e-12)
+
     def test_random_sweep(self):
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(3), size=500)
@@ -209,6 +258,48 @@ class TestFocalPhi:
         for gamma in (0.0, 0.5, 3.0):
             for d in focal_phi(np.array([0.0, 1.0]), gamma, 2):
                 assert np.all(np.isfinite(d))
+
+
+def _close(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1e-300))
+
+
+class TestFamilyTable:
+    """theory's risk and pgap's binary terms agree with the per-class evaluator."""
+
+    SPECS = ALL_SPECS + [LossSpec(family="focal", gamma=0.5),
+                         LossSpec(family="fcl", gamma=0.0, lam=1.5)]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_risk_is_the_posterior_mixture(self, spec, k):
+        rng = np.random.default_rng(k)
+        q = rng.dirichlet(np.ones(k), size=30)
+        eta = rng.dirichlet(np.ones(k))
+        eye = np.eye(k)
+        grad, hess = _risk_terms(spec, q, eta, 2)
+        per_class = [class_terms(spec, q, eye[y], 2) for y in range(k)]
+        assert _close(grad, sum(eta[y] * per_class[y][1] for y in range(k)))
+        assert _close(hess, sum(eta[y] * per_class[y][2] for y in range(k)))
+        value, = _risk_terms(spec, q, eta, 0)
+        assert _close(value, sum(eta[y] * batch_values(spec, q, eye[y]) for y in range(k)))
+
+    # pgap scores hard labels on unsmoothed targets, and does not take label smoothing
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s.family != "label_smoothing"],
+                             ids=repr)
+    def test_binary_terms_are_the_two_class_evaluator(self, spec):
+        kappa = np.linspace(0.01, 0.99, 99)
+        probs = np.stack([1.0 - kappa, kappa], axis=-1)
+        (l1, l0), = _binary_loss_terms(spec, kappa)
+        (d1, d0), (h1, h0) = _binary_loss_terms(spec, kappa, 2)
+        for label, (value, d, h) in ((1, (l1, d1, h1)), (0, (l0, d0, h0))):
+            y = np.eye(2)[label]
+            _, g, gg = class_terms(spec, probs, y, 2)
+            # d/d kappa of f(1 - kappa, kappa): -f_0' + f_1', and f_0'' + f_1''
+            assert _close(value, batch_values(spec, probs, y))
+            assert _close(d, g[:, 1] - g[:, 0])
+            assert _close(h, gg[:, 0] + gg[:, 1])
 
 
 def test_families_frozen():
