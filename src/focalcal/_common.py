@@ -194,6 +194,28 @@ def as_simplex(values, mass_tol: float = 1e-8, ndim: int = 1) -> np.ndarray:
     return v / mass
 
 
+def chain_arrays(obj, name: str, label: str, minus_id: bool = False):
+    """Cast ``obj.knots`` and ``obj.<name>`` of a frozen chain map to float arrays and check them.
+
+    They must be matching nonempty 1-D arrays, the knots strictly increasing,
+    and ``obj.<name>``, less the identity if ``minus_id``, 1-Lipschitz between
+    knots with 1e-12 slack; ``label`` names it in that error. Returns the
+    array ``obj.<name>``.
+    """
+    knots = np.asarray(obj.knots, dtype=float)
+    values = np.asarray(getattr(obj, name), dtype=float)
+    object.__setattr__(obj, "knots", knots)
+    object.__setattr__(obj, name, values)
+    if knots.shape != values.shape or knots.ndim != 1 or knots.size == 0:
+        raise ValueError(f"knots and {name} must be matching nonempty 1-D arrays")
+    if np.any(np.diff(knots) <= 0.0):
+        raise ValueError("knots must be strictly increasing")
+    chain = values - knots if minus_id else values
+    if np.any(np.abs(np.diff(chain)) > np.diff(knots) + 1e-12):
+        raise ValueError(f"{label} violates the 1-Lipschitz chain constraint")
+    return values
+
+
 def newton_root(f, lo, hi, x0):
     """Zero of each element of a nondecreasing ``f`` inside its bracket [lo, hi].
 

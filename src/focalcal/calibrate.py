@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import ConvergenceError, exp_sums, newton_root, newton_root_scalar, softmax
+from ._common import (ConvergenceError, chain_arrays, exp_sums, newton_root, newton_root_scalar,
+                      softmax)
 from .data import PredictionSet
 from .losses import LossSpec, focal_phi
 from .metrics import BinningConfig, binned_gaps
@@ -50,19 +51,9 @@ class PostProcessMap:
     kappa: np.ndarray   # remapped values at the knots
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        kappa = np.asarray(self.kappa, dtype=float)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "kappa", kappa)
-        if knots.shape != kappa.shape or knots.ndim != 1 or knots.size == 0:
-            raise ValueError("knots and kappa must be matching nonempty 1-D arrays")
-        if np.any(np.diff(knots) <= 0.0):
-            raise ValueError("knots must be strictly increasing")
+        kappa = chain_arrays(self, "kappa", "kappa - id", minus_id=True)
         if np.any(kappa < -1e-12) or np.any(kappa > 1.0 + 1e-12):
             raise ValueError("kappa values must lie in [0, 1]")
-        delta = kappa - knots
-        if np.any(np.abs(np.diff(delta)) > np.diff(knots) + 1e-12):
-            raise ValueError("kappa - id violates the 1-Lipschitz chain constraint")
 
 
 @dataclass

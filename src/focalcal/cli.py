@@ -23,7 +23,7 @@ from ._common import ConvergenceError
 from .calibrate import apply_temperature, pgap, temperature_scan
 from .data import (DataFormatError, PredictionSet, SyntheticConfig, generate,
                    load_points, load_predictions, save_points)
-from .losses import LossSpec
+from .losses import FAMILIES, LossSpec
 from .metrics import (DEFAULT_BINS, BinningConfig, auroc, compute_report, ece,
                       reliability_table, smce)
 from .theory import SigmaSpec, minimize_risk, optimal_curve, sigma_root
@@ -106,8 +106,7 @@ def _add_input_flags(p):
 
 
 def _add_loss_flags(p, default_family="fcl"):
-    p.add_argument("--loss", default=default_family,
-                   choices=["ce", "label_smoothing", "brier", "focal", "flsd53", "fcl"])
+    p.add_argument("--loss", default=default_family, choices=FAMILIES)
     # defaults follow the reported hyperparameter table (gamma 3, lambda 0.5)
     p.add_argument("--gamma", type=float, default=3.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)

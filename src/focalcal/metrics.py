@@ -7,9 +7,10 @@ contiguous runs of the stable confidence sort. Empty bins carry zero weight.
 The smooth calibration error pools all (predicted value, residual) pairs over
 samples and classes and maximizes the weighted sum of a 1-Lipschitz witness
 bounded in [-1, 1]. On the sorted pooled values that is a linear program on a
-chain, solved exactly by a slope-trick dynamic program (Hu, Jambulapati, Tian
-& Yang, arXiv 2402.13187) and certified by the closed-form dual flow g = S, the
-prefix sums of the pooled residuals, with bound sum_i d_i |S_i| + |S_{m-1}|.
+chain. The prefix sums S of the pooled residuals solve it in closed form: the
+signs of S fix each link where |S_i| is above a tie scaled by 1 + sum |w|, two
+min-plus passes give the greatest witness under those links, and S as dual
+flow certifies it with bound sum_i d_i |S_i| + |S_{m-1}|.
 It takes probability rows only: entries in [0, 1], each row summing to one.
 """
 
@@ -22,14 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._common import LOG_EPS, ConvergenceError, libm
+from ._common import LOG_EPS, ConvergenceError, chain_arrays, libm
 from .data import PredictionSet
 
 DEFAULT_BINS = 15
 
 # smce fails above this duality gap, relative to 1 + sum_i |w_i|
 SMCE_GAP_TOL = 1e-9
-# slopes within this of each other, relative to max |w|, count as equal
+# prefix sums S_i of the pooled residuals within this of 0, relative to
+# 1 + sum_i |w_i|, leave their link (or the last term) free
 _TIE_TOL = 1e-13
 
 
@@ -66,18 +68,9 @@ class LipschitzWitness:
     values: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        if knots.shape != values.shape or knots.ndim != 1 or knots.size == 0:
-            raise ValueError("knots and values must be matching nonempty 1-D arrays")
-        if np.any(np.diff(knots) <= 0.0):
-            raise ValueError("knots must be strictly increasing")
+        values = chain_arrays(self, "values", "witness")
         if np.any(np.abs(values) > 1.0 + 1e-12):
             raise ValueError("witness values must lie in [-1, 1]")
-        if np.any(np.abs(np.diff(values)) > np.diff(knots) + 1e-12):
-            raise ValueError("witness violates the 1-Lipschitz chain constraint")
 
 
 @dataclass(frozen=True)
@@ -235,73 +228,45 @@ def classwise_ece(pset: PredictionSet, cfg: BinningConfig = BinningConfig(),
     return float(_in_order(_gap_terms(counts, hits, means, denom).ravel())) / pset.k
 
 
+def _greatest(up: list, down: list, top: float) -> list:
+    """Greatest x <= 1 with x_{m-1} <= top, x_{i+1} - x_i <= up_i and x_i - x_{i+1} <= down_i.
+
+    The links are difference constraints on a chain, so one forward and one
+    backward min-plus pass give the least upper bound of every knot.
+    """
+    x = [1.0]
+    for u in up:
+        x.append(min(x[-1] + u, 1.0))
+    x[-1] = min(x[-1], top)
+    for i in range(len(down) - 1, -1, -1):
+        x[i] = min(x[i], x[i + 1] + down[i])
+    return x
+
+
 def _max_chain(w: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """Greatest maximizer of sum_i w_i x_i over |x_i| <= 1, |x_{i+1} - x_i| <= d_i.
 
-    d_i = knots[i+1] - knots[i]. A forward pass keeps V_i(x), the best prefix
-    value with x_i = x, which is concave and piecewise linear on [-1, 1] (the
-    slope trick). Its slope breakpoints right of the flat top [lo_i, hi_i]
-    sit on one stack and those left of it on another, each with the amount
-    by which the slope drops there, the one nearest the flat top last. Each
-    side is kept in its own outward coordinate, u = x on the right and
-    u = -x on the left, so both look alike and the bound is u = 1 on both.
-    Adding w_i x moves the flat top towards the side w_i points to, across
-    that side's breakpoints onto the other stack, until the slope |w_i| is
-    used up or the bound is reached. New breakpoints appear only at the flat
-    top, so each stack stays sorted without a heap. Going to the next knot
-    widens the flat top by d_i to each side, which moves every breakpoint
-    outwards by d_i, so a stack holds u - (d_0 + ... + d_{i-1}) for the knot
-    i at which the breakpoint was placed. Breakpoints past the bound never
-    come back: a stack whose last one lies there is empty as far as V is
-    concerned, and clipping to [-1, 1] needs no breakpoint of its own.
+    d_i = knots[i+1] - knots[i] and S_i = w_0 + ... + w_i. By Abel summation
+    sum_i w_i x_i = sum_i S_i (x_i - x_{i+1}) + S_{m-1} x_{m-1}, so where
+    |S_i| is above the tie, link i is tight, x_{i+1} = x_i - d_i sign(S_i);
+    elsewhere it is free. With knots in [0, 1] the links span at most 1, so
+    the greatest x <= 1 under them stays in [-1, 1] and takes x_{m-1} as high
+    as it goes. If S_{m-1} is below -tie, x_{m-1} is first pinned to its
+    least value under the links and x >= -1: the greatest of the negated
+    chain, -x.
 
-    smce passes probability rows only, so the pooled residuals sum to zero,
-    many witnesses are optimal, and rounding in the weights would pick among
-    them. Hence slopes within _TIE_TOL * max |w| of each other count as
-    equal. smce certifies the result with the prefix sums S of w as dual
-    flow, whose bound is sum_i d_i |S_i| + |S_{m-1}|.
-
-    The backtrack takes x_{m-1} = hi_{m-1} and x_i = clip(hi_i, x_{i+1} - d_i,
-    x_{i+1} + d_i): the greatest maximizer of V_i within reach of x_{i+1}.
+    smce passes probability rows only, so S_{m-1} is rounding, and many
+    witnesses are optimal; rounding in the weights would pick among them.
+    Hence the tie _TIE_TOL * (1 + sum_i |w_i|), which scales with the
+    rounding in S.
     """
-    right, left = ([], []), ([], [])  # (u - knot, amount) as parallel lists
-    tops = []  # hi_i
-    tie = _TIE_TOL * float(np.abs(w).max())
-    d = np.diff(knots).tolist()
-    v = 0.0  # the shift of both stacks
-    for wi, dv in zip(w.tolist(), [0.0] + d):
-        v += dv
-        if abs(wi) > tie:
-            (us, amounts), (other_us, other_amounts) = (right, left) if wi > 0.0 else (left, right)
-            slope = abs(wi)
-            while True:
-                u = us[-1] + v if us else 1.0
-                if u >= 1.0:
-                    # the flat top reaches the bound with slope to spare
-                    other_us.append(-1.0 - v)
-                    other_amounts.append(slope)
-                    break
-                amount = amounts[-1]
-                if amount > slope + tie:
-                    amounts[-1] = amount - slope
-                    other_us.append(-u - v)
-                    other_amounts.append(slope)
-                    break
-                us.pop()
-                amounts.pop()
-                other_us.append(-u - v)
-                other_amounts.append(amount)
-                slope -= amount
-                if slope <= tie:
-                    break
-        hi = right[0][-1] + v if right[0] else 1.0
-        tops.append(hi if hi < 1.0 else 1.0)
-
-    values = [tops[-1]]
-    for top, di in zip(tops[-2::-1], d[::-1]):
-        x = values[-1]
-        values.append(x - di if top < x - di else x + di if top > x + di else top)
-    return np.array(values[::-1])
+    s = np.cumsum(w)
+    tie = _TIE_TOL * (1.0 + float(np.abs(w).sum()))
+    d = np.diff(knots)
+    up = np.where(s[:-1] > tie, -d, d).tolist()
+    down = np.where(s[:-1] < -tie, -d, d).tolist()
+    top = -_greatest(down, up, 1.0)[-1] if s[-1] < -tie else 1.0
+    return np.array(_greatest(up, down, top))
 
 
 def smce(pset: PredictionSet) -> SmceResult:

@@ -197,9 +197,10 @@ def oc_uc_bound(p_hat, eta) -> dict:
         raise ValueError("p_hat and eta dimensions do not match")
     # Python floats: a numpy reduction's fixed cost dwarfs K additions
     ps, es = p.ravel().tolist(), e.ravel().tolist()
+    diffs = [a - b for a, b in zip(ps, es)]
     lhs = abs(max(ps) - max(es))
-    rhs_linf = max([abs(a - b) for a, b in zip(ps, es)])
-    rhs_l2 = float(np.linalg.norm(p - e))
+    rhs_linf = max(map(abs, diffs))
+    rhs_l2 = math.hypot(*diffs)
     return {"lhs": lhs, "rhs_linf": rhs_linf, "rhs_l2": rhs_l2,
             "holds": lhs <= rhs_l2 + 1e-12}
 

@@ -4,6 +4,10 @@ Every oracle here is written from the mathematical definition, without
 calling the library code under test, so agreement is meaningful.
 """
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
@@ -178,6 +182,55 @@ def smce_lp(probs, labels):
                   bounds=(-1.0, 1.0), method="highs")
     assert res.success, res.message
     return float(weights @ res.x) / n
+
+
+# ---------------------------------------------------------------------------
+# exact references: rational arithmetic over the program's float inputs
+
+def ulps(got, exact):
+    """Signed distance of the float ``got`` from the rational ``exact``, in ulp of ``exact``."""
+    return float((Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def _greatest_solution(x, bounds):
+    """Greatest y <= x with y_j <= y_i + c for every (i, j, c) in ``bounds``.
+
+    Relaxes every bound until none moves (Bellman-Ford on the constraint graph).
+    """
+    x = list(x)
+    moved = True
+    while moved:
+        moved = False
+        for i, j, c in bounds:
+            if x[i] + c < x[j]:
+                x[j] = x[i] + c
+                moved = True
+    return x
+
+
+def smce_exact(weights, knots):
+    """Greatest maximizer of sum_i w_i x_i over |x_i| <= 1, |x_{i+1} - x_i| <= d_i, and its value.
+
+    Exact in rationals over the float ``weights`` and ``knots``. With S the
+    prefix sums of w, sum_i w_i x_i = sum_i S_i (x_i - x_{i+1}) + S_{m-1} x_{m-1},
+    so an optimum keeps x_{i+1} = x_i - d_i sign(S_i) wherever S_i != 0, and
+    x_{m-1} as low as those links allow when S_{m-1} < 0. A link or the last
+    term is free only where S is exactly 0. Returns (x, value) as Fractions.
+    """
+    w = [Fraction(v) for v in weights]
+    k = [Fraction(v) for v in knots]
+    s = list(itertools.accumulate(w))
+    bounds = []  # x_j - x_i <= c as (i, j, c)
+    for i, (si, di) in enumerate(zip(s, [b - a for a, b in zip(k, k[1:])])):
+        bounds.append((i, i + 1, -di if si > 0 else di))
+        bounds.append((i + 1, i, -di if si < 0 else di))
+    top = [Fraction(1)] * len(w)
+    if s[-1] < 0:
+        # -x is the greatest under the reversed bounds, with x >= -1
+        least = _greatest_solution(top, [(j, i, c) for i, j, c in bounds])
+        top[-1] = -least[-1]
+    x = _greatest_solution(top, bounds)
+    return x, sum(wi * xi for wi, xi in zip(w, x))
 
 
 # ---------------------------------------------------------------------------

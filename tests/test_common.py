@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from focalcal import _common
 from focalcal._common import (_libm_map, _probe, _probe_args, _reversed, as_simplex, libm,
                               softmax)
+from focalcal.calibrate import PostProcessMap
+from focalcal.metrics import LipschitzWitness
 
 # numpy's AVX-512 exp gives 0.9971444573829081 here; libm gives ...908
 DRIFT_ARG = -0.0028596274570539502
@@ -265,3 +267,28 @@ class TestAsSimplex:
         rows = [[0.5, 0.5], [0.5, 0.75], [0.5, 0.625]]
         with pytest.raises(ValueError, match="probability mass 1.25 deviates"):
             as_simplex(rows, ndim=2)
+
+
+class TestChainArrays:
+    """The one validator behind ``LipschitzWitness`` and ``PostProcessMap``."""
+
+    MAPS = [(LipschitzWitness, "values", "witness violates", "witness values must lie"),
+            (PostProcessMap, "kappa", "kappa - id violates", "kappa values must lie")]
+
+    @pytest.mark.parametrize("cls, name, chain, bound", MAPS, ids=["witness", "map"])
+    def test_messages(self, cls, name, chain, bound):
+        cases = [([0.1, 0.2], [0.5], f"knots and {name} must be matching nonempty 1-D"),
+                 ([], [], f"knots and {name} must be matching nonempty 1-D"),
+                 ([[0.1]], [[0.5]], f"knots and {name} must be matching nonempty 1-D"),
+                 ([0.2, 0.2], [0.5, 0.5], "knots must be strictly increasing"),
+                 ([0.1, 0.2], [0.2, 0.5], chain),
+                 ([0.5], [1.5], bound)]
+        for knots, values, message in cases:
+            with pytest.raises(ValueError, match=message):
+                cls(knots, values)
+
+    @pytest.mark.parametrize("cls, name", [m[:2] for m in MAPS], ids=["witness", "map"])
+    def test_fields_become_float_arrays(self, cls, name):
+        m = cls([0, 1], [1, 1])
+        assert m.knots.dtype == getattr(m, name).dtype == np.float64
+        assert getattr(m, name).tolist() == [1.0, 1.0]

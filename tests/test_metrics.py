@@ -412,6 +412,22 @@ class TestSmceSolver:
         assert res.witness.values.tolist() == [1.0]
         assert res.value == 0.0
 
+    def test_tie_scales_with_the_residual_mass(self):
+        # a 1000x10 softmax log has 10^4 knots and a residual total S_{m-1}
+        # of pure rounding; removing it must not move the witness
+        rng = np.random.default_rng(0)
+        probs = naive_softmax(rng.normal(0.0, 2.0, size=(1000, 10)))
+        labels = rng.integers(0, 10, size=1000)
+        knots, inverse = np.unique(probs.ravel(), return_inverse=True)
+        w = np.zeros(knots.size)
+        np.add.at(w, inverse, (np.eye(10)[labels] - probs).ravel())
+        # below a tie of 1e-13 max|w|, so that tie would pin x_{m-1}
+        assert np.cumsum(w)[-1] < -1e-13 * np.abs(w).max()
+        w2 = w.copy()
+        w2[-1] -= np.cumsum(w)[-1]
+        moved = metrics._max_chain(w, knots) - metrics._max_chain(w2, knots)
+        assert np.max(np.abs(moved)) <= 1e-12
+
     @pytest.mark.parametrize("perturb", [lambda x: 0.999 * x, np.zeros_like],
                              ids=["shrunk", "zero"])
     def test_uncertified_witness_raises(self, monkeypatch, perturb):
