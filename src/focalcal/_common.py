@@ -249,6 +249,35 @@ def newton_root(f, lo, hi, x0):
     return x, s, it
 
 
+def unit_minimizers(slope_at, x0, lo: float, hi: float):
+    """Each row's own minimizer over [lo, hi], and the curvature there, in one pass.
+
+    ``slope_at(idx, x)`` returns per-row (f_i'(x_i), f_i''(x_i)) arrays for
+    rows ``idx``, each f_i convex; ``x0`` holds a start per row, clipped into
+    the bracket. Returns the minimizers, the curvatures and the passes of
+    ``newton_root`` (1 if the bound tests settle every row).
+    """
+    x = np.clip(x0, lo, hi)
+    rows = np.arange(x.size)
+    g, h = slope_at(rows, x)
+    y = x.copy()
+    down, up = (g > 0.0) & (x > lo), (g < 0.0) & (x < hi)
+    # the bound the slope points to is the minimizer if the slope keeps its sign there
+    ends = rows[down | up]
+    bound = np.where(up[ends], hi, lo)
+    g, h_end = slope_at(ends, bound)
+    pinned = np.where(up[ends], g <= 0.0, g >= 0.0)
+    y[ends[pinned]], h[ends[pinned]] = bound[pinned], h_end[pinned]
+    # otherwise the sign change lies between the start and that bound
+    live = ends[~pinned]
+    passes = 1
+    if live.size:
+        at, ahead = x[live], up[live]
+        y[live], h[live], passes = newton_root(functools.partial(slope_at, live),
+                                               np.where(ahead, at, lo), np.where(ahead, hi, at), at)
+    return y, h, passes
+
+
 def newton_root_scalar(f, lo: float, hi: float, x0: float):
     """``newton_root`` on one float, with its bits: returns (root, slope there)."""
     # on a tie np.clip returns the bound, so a -0.0 start at 0.0 becomes 0.0

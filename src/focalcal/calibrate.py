@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import (ConvergenceError, chain_arrays, exp_sums, newton_root, newton_root_scalar,
-                      softmax)
+from ._common import (ConvergenceError, chain_arrays, exp_sums, newton_root_scalar, softmax,
+                      unit_minimizers)
 from .data import PredictionSet
 from .losses import LossSpec, focal_phi
 from .metrics import BinningConfig, binned_gaps
@@ -204,33 +204,6 @@ def _binary_loss_terms(spec: LossSpec, kappa: np.ndarray, order: int = 0) -> lis
     return out
 
 
-def _unit_minimizers(slope_at, x: np.ndarray):
-    """Each knot's own minimizer over [0, 1], and the curvature there, in one pass.
-
-    ``slope_at(idx, x)`` returns per-knot (f_i'(x_i), f_i''(x_i)) arrays for
-    knots ``idx``, each f_i convex; ``x`` holds a first guess per knot. The
-    bounds 0 and 1 are tested first; the rows whose sign change lies between
-    the guess and a bound are solved together by ``newton_root``.
-    """
-    rows = np.arange(x.size)
-    g, h = slope_at(rows, x)
-    y = x.copy()
-    down, up = (g > 0.0) & (x > 0.0), (g < 0.0) & (x < 1.0)
-    # the bound the slope points to is the minimizer if the slope keeps its sign there
-    ends = rows[down | up]
-    bound = up[ends].astype(float)
-    g, h_end = slope_at(ends, bound)
-    pinned = np.where(up[ends], g <= 0.0, g >= 0.0)
-    y[ends[pinned]], h[ends[pinned]] = bound[pinned], h_end[pinned]
-    # otherwise the sign change lies between x and that bound
-    live = ends[~pinned]
-    if live.size:
-        at, ahead = x[live], up[live]
-        y[live], h[live], _ = newton_root(functools.partial(slope_at, live),
-                                          np.where(ahead, at, 0.0), np.where(ahead, 1.0, at), at)
-    return y, h
-
-
 def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Minimize sum_j f_j(kappa_j) over 0 <= kappa_{j+1} - kappa_j <= w_j, kappa in [0, 1].
 
@@ -240,7 +213,8 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
     on its own.
 
     The first phase finds every knot's own minimizer r_j over [0, 1] at once
-    (``_unit_minimizers``); it does not depend on the chain. The second, a
+    (``_common.unit_minimizers``, the per-row rule that theory's binary
+    minimizer shares); it does not depend on the chain. The second, a
     forward pass, finds y_j, the minimizer over [0, 1] of the value function
     V_j(x) = f_j(x) + min over y in [x - w_{j-1}, x] of V_{j-1}(y). Since
     V_{j-1} is convex that inner minimum is attained at the clip of y_{j-1}
@@ -277,7 +251,7 @@ def _solve_chain(slope_at, w: np.ndarray, start: np.ndarray) -> np.ndarray:
             pts.append(x)
         return slope(slice(j + 1 - len(pts), j + 1), np.array(pts[::-1]))
 
-    own, own_h = _unit_minimizers(slope_at, start)
+    own, own_h, _ = unit_minimizers(slope_at, start, 0.0, 1.0)
     for j, (y, h) in enumerate(zip(own.tolist(), own_h.tolist())):
         if j and ys[-1] < y - ws[j - 1]:
             # link to j-1 stretched at y: V_j' > 0 there unless y is the bound 1

@@ -172,15 +172,16 @@ def entropy_bound_check(probs, target, gamma: float) -> dict:
     The derivation (Mukhoti et al., NeurIPS 2020) uses Bernoulli's inequality
     and therefore requires gamma >= 1. KL(t||p) + H[t] is -sum t log p, with
     KL's 1e-12 floor on p. Returns the two sides and whether the bound holds
-    with 1e-12 slack.
+    with 1e-12 slack: Python floats and a bool for a (K,) pair, lists of them
+    for an (N, K) stack, each row with the bits it has alone.
     """
     if gamma < 1.0:
         raise ValueError("the bound's derivation requires gamma >= 1")
     p, t = _check_pair(probs, target)
     if np.any(p <= 0.0):
         raise ValueError("probs must be strictly positive")
-    lhs = float(batch_values(LossSpec("focal", gamma=gamma), p, t))
+    lhs = batch_values(LossSpec("focal", gamma=gamma), p, t)
     logp = libm(math.log, p)
-    cross = -float(np.sum(t * np.where(p < LOG_EPS, math.log(LOG_EPS), logp)))
-    rhs = cross + gamma * float(np.sum(p * logp))
-    return {"holds": lhs >= rhs - 1e-12, "lhs": lhs, "rhs": rhs}
+    cross = -np.sum(t * np.where(p < LOG_EPS, math.log(LOG_EPS), logp), axis=-1)
+    rhs = cross + gamma * np.sum(p * logp, axis=-1)
+    return {"holds": (lhs >= rhs - 1e-12).tolist(), "lhs": lhs.tolist(), "rhs": rhs.tolist()}

@@ -9,8 +9,8 @@ The risk of every supported family is separable across classes:
 t, gamma and a from ``losses.class_terms``, each term convex in q_i. So for K >= 3
 the minimizer solves one equation in the multiplier mu of sum q = 1 by dual
 safeguarded Newton (``iterations`` counts the trial values of mu); binary
-specs solve for the zero of the risk derivative by the same rule
-(``iterations`` counts its passes).
+specs take ``_common.unit_minimizers`` on [Q_LO, Q_HI] from eta_0, the
+per-row rule pgap's knots share (``iterations`` counts its Newton passes).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import ConvergenceError, as_simplex, newton_root, newton_root_scalar
+from ._common import (ConvergenceError, as_simplex, newton_root, newton_root_scalar,
+                      unit_minimizers)
 from .losses import LossSpec, batch_values, class_terms
 
 Q_LO = 1e-12
@@ -96,6 +97,11 @@ def _minimize_simplex(spec: LossSpec, eta: np.ndarray):
     grad, hess = _risk_terms(spec, q, eta, 2)
     ends, = _risk_terms(spec, np.array([[Q_LO], [top]]), eta, 1)
 
+    # the inner level keeps its own end tests, not ``unit_minimizers``: a slope
+    # of 0 at a bound pins q_i there, where the shared rule keeps the start
+    # (focal gamma 50 at eta = (1, 0, 0) must give q_0 = 1 - 2e-12; see
+    # test_flat_derivative_stays_on_simplex), and the bound slopes ``ends``
+    # are computed once per solve, not once per trial mu
     def excess(mu):
         nonlocal q
 
@@ -119,18 +125,14 @@ def _minimize_simplex(spec: LossSpec, eta: np.ndarray):
 
 
 def _minimize_binary(spec: LossSpec, eta: np.ndarray):
-    """Zero of the nondecreasing risk derivative of each row of ``eta`` (n, 2), each
-    row exactly as it would be alone. Returns q (n, 2) and the Newton passes."""
-    def deriv(x):
-        g, h = _risk_terms(spec, np.stack([x, 1.0 - x], axis=-1), eta, 2)
+    """Minimizer over [Q_LO, Q_HI] of the risk of each row of ``eta`` (n, 2), each
+    row exactly as it would be alone, by ``unit_minimizers`` from eta_0.
+    Returns q (n, 2) and the Newton passes."""
+    def deriv(idx, x):
+        g, h = _risk_terms(spec, np.stack([x, 1.0 - x], axis=-1), eta[idx], 2)
         return g[..., 0] - g[..., 1], h[..., 0] + h[..., 1]
 
-    d_lo, d_hi = deriv(np.array([[Q_LO], [Q_HI]]))[0]
-    # a derivative that keeps one sign over the interval pins the row to an end,
-    # Q_LO first, as a collapsed bracket
-    lo = np.where(~(d_lo >= 0.0) & (d_hi <= 0.0), Q_HI, Q_LO)
-    hi = np.where(d_lo >= 0.0, Q_LO, Q_HI)
-    x, _, passes = newton_root(deriv, lo, hi, eta[:, 0])
+    x, _, passes = unit_minimizers(deriv, eta[:, 0], Q_LO, Q_HI)
     return np.stack([x, 1.0 - x], axis=-1), passes
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import focalcal.calibrate as calibrate
 from conftest import _binary_loss_at, naive_softmax, pgap_bruteforce
-from focalcal._common import newton_root, newton_root_scalar
+from focalcal._common import newton_root, newton_root_scalar, unit_minimizers
 from focalcal.calibrate import (CONVEX_FAMILIES, PGAP_KKT_TOL, ConvergenceError, PGapResult,
                                 PostProcessMap, apply_temperature, pgap,
                                 temperature_grid, temperature_scan)
@@ -335,6 +335,17 @@ class TestPgap:
         with pytest.raises(ConvergenceError, match="KKT"):
             pgap(ps, LossSpec(family="brier"))
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="the label-0 slope at 1 - kappa_0 rounds to -0.0 when kappa_0 "
+                              "is within rounding of 0, so the certificate refuses an optimal map")
+    def test_optimal_knot_within_rounding_of_zero_is_certified(self):
+        # kappa = (5.55e-17, 0.25000000000000006) is optimal: no kappa_0 has a
+        # lower risk than 0.09159248923746302, but the true slope at knot 0 is
+        # about (14/15)(1 + gamma) kappa_0^gamma = 0.30, not -0.0
+        ps = binary_set([0.0] * 14 + [0.125], [0] * 14 + [1])
+        res = pgap(ps, LossSpec(family="focal", gamma=0.03125))
+        assert res.optimized_risk <= 0.09159248923746302
+
     def test_json_round_trip_keys(self):
         res = pgap(binary_set([0.3, 0.6], [0, 1]), LossSpec(family="brier"))
         out = _payload(res)
@@ -350,15 +361,16 @@ def knot_slopes(spec, n1, n0):
     return slope_at
 
 
-def unit_minimizer(slope, x):
-    """One knot's minimizer over [0, 1] by the scalar rule: the oracle of the batch."""
+def unit_minimizer(slope, x0, lo, hi):
+    """One knot's minimizer over [lo, hi] by the scalar rule: the oracle of the batch."""
+    x = float(np.clip(x0, lo, hi))
     g, h = slope(x)
-    if g > 0.0 and x > 0.0:
-        g0, h0 = slope(0.0)
-        return (0.0, h0) if g0 >= 0.0 else newton_root_scalar(slope, 0.0, x, x)
-    if g < 0.0 and x < 1.0:
-        g1, h1 = slope(1.0)
-        return (1.0, h1) if g1 <= 0.0 else newton_root_scalar(slope, x, 1.0, x)
+    if g > 0.0 and x > lo:
+        g0, h0 = slope(lo)
+        return (lo, h0) if g0 >= 0.0 else newton_root_scalar(slope, lo, x, x)
+    if g < 0.0 and x < hi:
+        g1, h1 = slope(hi)
+        return (hi, h1) if g1 <= 0.0 else newton_root_scalar(slope, x, hi, x)
     return x, h
 
 
@@ -382,6 +394,19 @@ def knot_sets(draw):
 
 
 @st.composite
+def bracketed_knot_sets(draw):
+    """A knot set with one bracket for all knots, [0, 1] (pgap's), [1e-12, 1 - 1e-12]
+    (theory's) or a drawn one, and starts at the knots or drawn, some outside it."""
+    spec, knots, n1, n0 = draw(knot_sets())
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    lo, hi = draw(st.one_of(st.sampled_from([(0.0, 1.0), (1e-12, 1.0 - 1e-12)]),
+                            st.tuples(unit, unit).map(sorted)))
+    x0 = draw(st.one_of(st.just(knots), st.lists(st.floats(-0.5, 1.5), min_size=knots.size,
+                                                  max_size=knots.size).map(np.array)))
+    return spec, knots, n1, n0, lo, hi, x0
+
+
+@st.composite
 def bracket_sets(draw):
     """A knot set with a bracket and a start per knot: some brackets start
     collapsed (lo == hi) and some starts lie outside, as theory's inner level
@@ -397,19 +422,24 @@ def bracket_sets(draw):
 
 class TestUnitMinimizers:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(knot_sets())
-    @example((LossSpec(family="ce"), np.array([0.0]), np.array([1.0]), np.array([0.0])))
+    @given(bracketed_knot_sets())
+    @example((LossSpec(family="ce"), np.array([0.0]), np.array([1.0]), np.array([0.0]),
+              0.0, 1.0, np.array([0.0])))
     @example((LossSpec(family="fcl", gamma=3.0, lam=0.5), np.array([1.0]), np.array([0.0]),
-              np.array([2.0])))
+              np.array([2.0]), 0.0, 1.0, np.array([1.0])))
     @example((LossSpec(family="focal", gamma=0.0), np.array([0.3]), np.array([1.0]),
-              np.array([1.0])))
+              np.array([1.0]), 0.0, 1.0, np.array([0.3])))
+    @example((LossSpec(family="focal", gamma=2.0), np.array([0.0, 0.5, 1.0]),
+              np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0]), 1e-12, 1.0 - 1e-12,
+              np.array([-0.5, 0.5, 1.5])))
     def test_batch_matches_scalar_root_bit_for_bit(self, case):
-        spec, knots, n1, n0 = case
+        spec, knots, n1, n0, lo, hi, x0 = case
         slope_at = knot_slopes(spec, n1, n0)
-        y, h = calibrate._unit_minimizers(slope_at, knots)
-        for j, x in enumerate(knots.tolist()):
+        y, h, passes = unit_minimizers(slope_at, x0, lo, hi)
+        assert 1 <= passes <= 200
+        for j, x in enumerate(x0.tolist()):
             assert (np.array([y[j], h[j]]).tobytes()
-                    == np.array(unit_minimizer(one_knot(slope_at, j), x)).tobytes())
+                    == np.array(unit_minimizer(one_knot(slope_at, j), x, lo, hi)).tobytes())
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(bracket_sets())
@@ -478,7 +508,7 @@ def reference_solve_chain(slope_at, w, start):
             pts.append(x)
         return slope(idx, pts)
 
-    own, own_h = calibrate._unit_minimizers(slope_at, start)
+    own, own_h, _ = unit_minimizers(slope_at, start, 0.0, 1.0)
     for j, (y, h) in enumerate(zip(own.tolist(), own_h.tolist())):
         if j and ys[-1] < y - ws[j - 1]:
             lo = edge = ys[-1] + ws[j - 1]

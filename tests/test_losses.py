@@ -212,6 +212,22 @@ class TestEntropyBound:
             assert abs(out["rhs"] - want) <= 1e-13 * max(1.0, abs(want))
             assert out["holds"] == (out["lhs"] >= want - 1e-12)
 
+    def test_stack_matches_rows_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        for k in range(2, 6):
+            p = rng.dirichlet(np.ones(k) * 0.3, size=150)
+            p[::5, 0] = 1e-13  # below the 1e-12 floor
+            p /= p.sum(axis=1, keepdims=True)
+            t = np.where(np.arange(150)[:, None] % 2 == 0, rng.dirichlet(np.ones(k), size=150),
+                         np.eye(k)[rng.integers(0, k, size=150)])
+            for gamma in (1.0, 2.5):
+                out = entropy_bound_check(p, t, gamma)
+                rows = [entropy_bound_check(pi, ti, gamma) for pi, ti in zip(p, t)]
+                for key in ("lhs", "rhs", "holds"):
+                    want = [r[key] for r in rows]
+                    assert np.array(out[key]).tobytes() == np.array(want).tobytes()
+                    assert [type(a) for a in out[key]] == [type(a) for a in want]
+
     def test_random_sweep(self):
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(3), size=500)

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import definition_risk, simplex_minimizer_slsqp
-from focalcal import theory
+from focalcal import _common, theory
 from focalcal._common import newton_root, newton_root_scalar
 from focalcal.calibrate import ConvergenceError
 from focalcal.cli import _payload
 from focalcal.losses import LossSpec, eval_loss
-from focalcal.theory import (KKT_TOL, MinimizerResult, SigmaSpec, _kkt_residual, _risk_terms,
-                             minimize_risk, oc_uc_bound, optimal_curve,
+from focalcal.theory import (KKT_TOL, Q_HI, Q_LO, MinimizerResult, SigmaSpec, _kkt_residual,
+                             _risk_terms, minimize_risk, oc_uc_bound, optimal_curve,
                              order_preservation_check, pointwise_risk,
                              sigma_eval, sigma_root)
 
@@ -235,6 +235,26 @@ def scalar_bisection(spec, eta):
 
 BINARY_GRID = np.concatenate([np.round(np.arange(0.0, 1.0001, 0.05), 10),
                               [1e-9, 0.5 + 1e-12, 1.0 - 1e-9]])
+# posteriors in the tails: 1e-1 ... 1e-16 and 1 - 1e-1 ... 1 - 1e-16
+BINARY_TAILS = np.concatenate([10.0 ** -np.arange(1.0, 17.0), 1.0 - 10.0 ** -np.arange(1.0, 17.0)])
+BINARY_SPECS = SIMPLEX_SPECS + [LossSpec(family="flsd53"), LossSpec(family="focal", gamma=50.0),
+                                LossSpec(family="focal", gamma=1e6),
+                                LossSpec(family="fcl", gamma=1e6, lam=0.5)]
+
+
+def reference_minimize_binary(spec, eta):
+    """The binary minimizer with its own end tests: a derivative that keeps one
+    sign over [Q_LO, Q_HI] pins the row to an end, Q_LO first, as a collapsed
+    bracket of ``newton_root``. Returns q (n, 2) and the Newton passes."""
+    def deriv(x):
+        g, h = _risk_terms(spec, np.stack([x, 1.0 - x], axis=-1), eta, 2)
+        return g[..., 0] - g[..., 1], h[..., 0] + h[..., 1]
+
+    d_lo, d_hi = deriv(np.array([[Q_LO], [Q_HI]]))[0]
+    lo = np.where(~(d_lo >= 0.0) & (d_hi <= 0.0), Q_HI, Q_LO)
+    hi = np.where(d_lo >= 0.0, Q_LO, Q_HI)
+    x, _, passes = newton_root(deriv, lo, hi, eta[:, 0])
+    return np.stack([x, 1.0 - x], axis=-1), passes
 
 
 class TestBinaryBisection:
@@ -255,8 +275,8 @@ class TestBinaryBisection:
                 assert minimize_risk(spec, eta).q_star[0] == p
 
     def test_rows_follow_the_scalar_rule(self, monkeypatch):
-        # each row, pinned ends (collapsed brackets) included, takes the scalar
-        # rule's steps bit for bit
+        # each row that reaches newton_root takes the scalar rule's steps bit
+        # for bit
         seen = set()
 
         def checked(f, lo, hi, x0):
@@ -268,10 +288,33 @@ class TestBinaryBisection:
                 seen.add(bool(lo[i] == hi[i]))
             return x, s, it
 
-        monkeypatch.setattr(theory, "newton_root", checked)
+        monkeypatch.setattr(_common, "newton_root", checked)
         for spec in SIMPLEX_SPECS + [LossSpec(family="flsd53")]:
             optimal_curve(spec, BINARY_GRID)
-        assert seen == {True, False}
+        # pinned rows never reach newton_root; test_matches_end_test_reference holds their bits
+        assert seen == {False}
+
+    @pytest.mark.parametrize("spec", BINARY_SPECS, ids=spec_id)
+    def test_matches_end_test_reference(self, spec):
+        # the shared per-row rule gives the reference's q bits on the batch,
+        # and on each row alone its pass count too
+        eta0 = np.concatenate([BINARY_GRID, BINARY_TAILS])
+        eta = np.stack([eta0, 1.0 - eta0], axis=-1)
+        q, _ = theory._minimize_binary(spec, eta)
+        assert q.tobytes() == reference_minimize_binary(spec, eta)[0].tobytes()
+        for row in eta:
+            q, passes = theory._minimize_binary(spec, row[None])
+            want, want_passes = reference_minimize_binary(spec, row[None])
+            assert (q.tobytes(), passes) == (want.tobytes(), want_passes), row
+
+    def test_flat_risk_keeps_the_start(self):
+        # at gamma 1e15 the focal risk derivative is exactly 0 on the open
+        # bracket, so every point there has the least computed risk, and a row
+        # keeps eta_0 clipped into the bracket rather than taking an end
+        spec = LossSpec(family="focal", gamma=1e15)
+        assert optimal_curve(spec, [0.0, 0.3, 1.0]) == [(0.0, Q_LO), (0.3, 0.3), (1.0, Q_HI)]
+        res = minimize_risk(spec, [0.2, 0.8])
+        assert res.q_star.tolist() == [0.2, 0.8] and res.converged and res.iterations == 1
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([LossSpec(family="ce"), LossSpec(family="brier"),
